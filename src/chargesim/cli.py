@@ -260,7 +260,7 @@ def cmd_simulate(ns) -> int:
                 json.dumps(_route_record(r, res), sort_keys=True) for res in results
             ]
             ledger_lines += [
-                f"{cp},{ev},{_fmt(s)},{_fmt(e)}" for cp, ev, s, e in ledger.to_rows()
+                f"{r},{cp},{ev},{_fmt(s)},{_fmt(e)}" for cp, ev, s, e in ledger.to_rows()
             ]
         metrics = [total]
         if ns.dump_routes:

@@ -108,6 +108,9 @@ def test_simulate_dumps(fixture_dir, tmp_path):
             "--replicates", "2",
             "--dump-routes",
             "--dump-ledger",
+            # a short range makes trips in the 40x30 km box charge, so both
+            # replicates book slots
+            "--set", "max_range_km=20",
         ]
     )
     assert rc == 0
@@ -118,6 +121,9 @@ def test_simulate_dumps(fixture_dir, tmp_path):
     assert "ev_id" in rec and "replicate" in rec
     ledger_lines = (out / "ledger.csv").read_text().splitlines()
     assert ledger_lines[0] == "replicate,cp_id,ev_id,start_h,end_h"
+    rows = [line.split(",") for line in ledger_lines[1:]]
+    assert all(len(row) == 5 for row in rows)
+    assert {row[0] for row in rows} == {"0", "1"}
 
     # dumps are per-trip artifacts, so a fleet grid cannot produce them
     rc = main(
