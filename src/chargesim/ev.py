@@ -8,7 +8,8 @@ connector kind (DC fast charging vs the onboard AC charger).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 DC = "DC"
 AC = "AC"
@@ -26,6 +27,9 @@ class EvParams:
     route_scale: float = 0.85
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite: {getattr(self, f.name)}")
         if min(self.battery_kwh, self.speed_kph, self.max_range_km) <= 0:
             raise ValueError("battery, speed and range must be positive")
         if min(self.dc_charge_kw, self.onboard_ac_limit_kw) <= 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import math
 from dataclasses import dataclass, replace
 
 from .errors import DataError
@@ -30,8 +31,8 @@ class ChargePoint:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise DataError(f"charge point {self.id}: unknown kind {self.kind!r}")
-        if self.power_kw <= 0:
-            raise DataError(f"charge point {self.id}: power must be positive")
+        if not (math.isfinite(self.power_kw) and self.power_kw > 0):
+            raise DataError(f"charge point {self.id}: power must be positive and finite")
 
 
 class ChargeNetwork:

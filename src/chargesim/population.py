@@ -33,6 +33,10 @@ class Cell:
     center: GeoPoint
     population: float
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.population):
+            raise DataError(f"population not finite: {self.population}")
+
 
 @dataclass
 class PopulationGrid:
@@ -102,10 +106,9 @@ def load_population_csv(path) -> PopulationGrid:
             if pop < 0:
                 raise DataError(f"{path}: line {lineno}: negative population {pop}")
             try:
-                center = GeoPoint(lat, lon)
+                cells.append(Cell(GeoPoint(lat, lon), pop))
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            cells.append(Cell(center, pop))
     return PopulationGrid(cells)
 
 

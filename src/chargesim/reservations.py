@@ -10,6 +10,7 @@ is ever booked.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 
@@ -25,7 +26,8 @@ class Booking:
     end_h: float
 
     def __post_init__(self) -> None:
-        if self.start_h < 0 or self.end_h <= self.start_h:
+        finite = math.isfinite(self.start_h) and math.isfinite(self.end_h)
+        if not finite or self.start_h < 0 or self.end_h <= self.start_h:
             raise ValueError(f"bad booking interval [{self.start_h}, {self.end_h})")
 
 

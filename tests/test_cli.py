@@ -176,6 +176,31 @@ def test_simulate_missing_data_file(tmp_path):
     assert rc == 3
 
 
+def test_non_finite_inputs_exit_codes(fixture_dir, tmp_path):
+    # a non-finite config value is a config error
+    rc = main(
+        [
+            "simulate",
+            "-c", str(fixture_dir / "scenario.cfg"),
+            "--out", str(tmp_path / "cfg"),
+            "--set", "speed_kph=nan",
+        ]
+    )
+    assert rc == 2
+    # a non-finite value in an input file is a data error
+    net_csv = tmp_path / "net.csv"
+    net_csv.write_text("id,lat,lon,kind,power_kw\ncp1,53.1,-7.9,DC,inf\n")
+    rc = main(
+        [
+            "simulate",
+            "-c", str(fixture_dir / "scenario.cfg"),
+            "--out", str(tmp_path / "data"),
+            "--set", f"network_csv={net_csv}",
+        ]
+    )
+    assert rc == 3
+
+
 def test_faults_subcommand(fixture_dir, tmp_path):
     out = tmp_path / "faults"
     rc = main(

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,3 +109,10 @@ def test_params_validation():
         EvParams(route_scale=0.0)
     with pytest.raises(ValueError):
         EvParams(route_scale=1.2)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(EvParams)])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_must_be_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        EvParams(**{field: value})

@@ -65,6 +65,12 @@ def test_latitude_range_is_validated():
         GeoPoint(-90.5, 0.0)
 
 
+@pytest.mark.parametrize("lon", [math.nan, math.inf, -math.inf])
+def test_longitude_must_be_finite(lon):
+    with pytest.raises(ValueError, match="longitude"):
+        GeoPoint(0.0, lon)
+
+
 def test_longitude_is_normalized():
     p = GeoPoint(0.0, 190.0)
     assert p.lon_deg == pytest.approx(-170.0, abs=1e-12)

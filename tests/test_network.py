@@ -20,6 +20,16 @@ def test_charge_point_validation():
         ChargePoint("a", ANCHOR, "DC", 0.0)
 
 
+@pytest.mark.parametrize("power", [float("nan"), float("inf")])
+def test_charge_point_power_must_be_finite(power, tmp_path):
+    with pytest.raises(DataError, match="finite"):
+        ChargePoint("a", ANCHOR, "DC", power)
+    path = tmp_path / "net.csv"
+    path.write_text(f"id,lat,lon,kind,power_kw\ncp1,10,10,DC,{power}\n")
+    with pytest.raises(DataError, match="line 2"):
+        load_network_csv(path)
+
+
 def test_duplicate_ids_rejected():
     p = ChargePoint("a", ANCHOR, "DC", 50.0)
     with pytest.raises(DataError, match="duplicate"):

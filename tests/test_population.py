@@ -37,6 +37,16 @@ def test_grid_validation():
         PopulationGrid([Cell(ANCHOR, 0.0)])
 
 
+@pytest.mark.parametrize("pop", [math.nan, math.inf])
+def test_cell_population_must_be_finite(pop, tmp_path):
+    with pytest.raises(DataError, match="finite"):
+        Cell(ANCHOR, pop)
+    path = tmp_path / "pop.csv"
+    path.write_text(f"lat,lon,population\n0,12,1\n0,12.01,{pop}\n")
+    with pytest.raises(DataError, match="line 3"):
+        load_population_csv(path)
+
+
 def test_total_population_and_len():
     g = small_grid()
     assert g.total_population == 4.0

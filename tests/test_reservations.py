@@ -15,6 +15,15 @@ def test_booking_validation():
         Booking("cp", 1, 1.0, 0.5)
 
 
+@pytest.mark.parametrize(
+    "start, end",
+    [(float("nan"), 1.0), (0.0, float("nan")), (0.0, float("inf"))],
+)
+def test_booking_times_must_be_finite(start, end):
+    with pytest.raises(ValueError):
+        Booking("cp", 1, start, end)
+
+
 def test_empty_point_starts_immediately():
     led = ReservationLedger()
     assert led.earliest_slot("cp", 2.5, 0.32) == 2.5
