@@ -4,6 +4,17 @@ Every charge point serves one vehicle at a time. Radius queries are served
 from a latitude-sorted index: a latitude band is an exact prefilter because
 great-circle distance is never less than the meridional separation, so the
 band never excludes a true match.
+
+Queries centred on a charge-point location, which is where the router
+expands every label after its first stop, are memoized per location: the
+network keeps the widest scan made there so far, as its radius, its sorted
+distances and its hits. A query at or inside that radius is a prefix of the
+hits, cut with a bisection on the distances; a wider one scans afresh and
+replaces the memo. Both give the same list as a fresh scan, because the
+band prefilter is exact and hits are sorted by (distance, id). Only the
+widest scan per location is kept, so the memo holds at most one hit list
+per location and stays empty until the first query. Other centres, such
+as trip origins, always scan.
 """
 
 from __future__ import annotations
@@ -18,6 +29,9 @@ from .ev import AC, DC
 from .geo import KM_PER_DEG_LAT, GeoPoint, distance_km
 
 KINDS = (DC, AC)
+
+# memo entry of a location not queried yet: any radius is wider
+_UNSCANNED: tuple[float, list[float], list] = (-1.0, [], [])
 
 
 @dataclass(frozen=True)
@@ -46,6 +60,10 @@ class ChargeNetwork:
         # latitude-sorted view for radius queries
         self._sorted = sorted(self.points, key=lambda p: p.location.lat_deg)
         self._lats = [p.location.lat_deg for p in self._sorted]
+        # charge-point location -> widest scan there: (radius, distances, hits)
+        self._memo: dict[GeoPoint, tuple[float, list[float], list[tuple[float, ChargePoint]]]] = {
+            p.location: _UNSCANNED for p in self.points
+        }
 
     def __len__(self) -> int:
         return len(self.points)
@@ -63,6 +81,15 @@ class ChargeNetwork:
         (distance, id)."""
         if radius_km < 0:
             raise ValueError(f"negative radius: {radius_km}")
+        memo = self._memo.get(center)
+        if memo is None:
+            return self._scan(center, radius_km)
+        if radius_km > memo[0]:
+            hits = self._scan(center, radius_km)
+            memo = self._memo[center] = (radius_km, [d for d, _ in hits], hits)
+        return memo[2][: bisect.bisect_right(memo[1], radius_km)]
+
+    def _scan(self, center: GeoPoint, radius_km: float) -> list[tuple[float, ChargePoint]]:
         band = radius_km / KM_PER_DEG_LAT + 1e-9
         lo = bisect.bisect_left(self._lats, center.lat_deg - band)
         hi = bisect.bisect_right(self._lats, center.lat_deg + band)

@@ -6,19 +6,36 @@ at or above the reserve floor, and each stop charges up to the target level
 before departing. The planner searches stop sequences with a label-setting
 search ordered by departure time:
 
-  * labels carry (location, charge, departure time, set of stops used);
+  * labels carry (departure time, stop count, stop-id sequence, charge)
+    and a pointer to their parent; legs and stops are built for the
+    winning label only;
   * a label extends to every operational charge point reachable on its
-    charge, never revisiting a point within one journey;
+    charge;
   * in reservation-aware mode the wait at a point comes from the ledger's
     earliest free slot; reservation-blind planning assumes zero wait and
     discovers the real queue only at commit time;
   * a label whose departure already exceeds the best known arrival cannot
-    improve it (extra legs only add time), so it is cut; labels dominated
-    at the same point by an earlier-departing, better-charged label with a
-    subset of its visited stops are cut as well.
+    improve it (extra legs only add time), so it is cut;
+  * a new label at a point is cut when a label kept there departs no
+    later, with at least as much charge and a (stop count, stop ids) key
+    no greater; kept labels that the new one dominates this way are
+    dropped.
 
 Ties on arrival break toward fewer stops, then the lexicographically
 smallest stop-id sequence, so plans are deterministic.
+
+The dominance is exact. The ledger's earliest slot never decreases as the
+arrival time or the charge duration grows, the charge duration never
+increases as the arrival charge grows, and every charging stop ends at the
+same target. So a label that departs no later with at least as much charge
+reaches the destination through any continuation no later, and appending
+the same continuation keeps the order of the (stop count, stop ids) keys,
+so the tie-break survives too. A revisit of a point departs no earlier, with
+no more charge and more stops, than the first visit, so it is always
+dominated: labels need no visited set, and the search still returns the
+best simple path. This is the FIFO time-dependent shortest-path argument
+(Kaufman and Smith, 1993), as used for charging-stop search by Baum et
+al., "Shortest Feasible Paths with Charging Stops" (SIGSPATIAL 2015).
 """
 
 from __future__ import annotations
@@ -153,25 +170,28 @@ def plan_route(
             needed_charge=False,
         )
 
-    # label-setting search; heap orders by (departure, stops, stop ids) so
-    # exploration order agrees with the final tie-break preference
-    start = (req.depart_h, 0, (), req.origin, initial_soc, frozenset(), (), ())
-    heap = [start]
-    pareto: dict[str, list[tuple[float, float, frozenset[str]]]] = {}
-    candidates: list[tuple[float, int, tuple[str, ...], tuple[Leg, ...], tuple[Stop, ...]]] = []
+    # label-setting search over labels (departure, stops, stop ids, charge,
+    # node); the heap order agrees with the final tie-break preference. A
+    # node is (parent node, charge point, leg km, arrival, slot start,
+    # charge in, charge out, departure, leg start), None at the origin, so
+    # legs and stops are built for the winning label only
+    heap = [(req.depart_h, 0, (), initial_soc, None)]
+    pareto: dict[str, list[tuple[float, float, tuple[int, tuple[str, ...]]]]] = {}
+    best = None
     best_arrival = float("inf")
     budget_hit = False
 
     while heap:
-        dep, n_stops, seq, loc, soc, visited, stops, legs = heapq.heappop(heap)
+        dep, n_stops, seq, soc, node = heapq.heappop(heap)
         if cfg.prune and dep > best_arrival:
             break
+        loc = req.origin if node is None else node[1].location
         d_dest = distance_km(loc, req.destination)
         if d_dest <= span_km(soc):
-            final = Leg(loc, req.destination, d_dest, d_dest / ev.speed_kph)
-            arrival = dep + final.drive_h
-            best_arrival = min(best_arrival, arrival)
-            candidates.append((arrival, n_stops, seq, legs + (final,), stops))
+            arrival = dep + d_dest / ev.speed_kph
+            if best is None or (arrival, n_stops, seq) < best[:3]:
+                best = (arrival, n_stops, seq, node, loc, d_dest)
+                best_arrival = arrival
             # extending a completed label cannot beat its own arrival:
             # charge time is non-negative and legs obey the triangle
             # inequality, so skip the extensions
@@ -180,7 +200,7 @@ def plan_route(
             budget_hit = True
             continue
         for d_leg, cp in net.within_radius(loc, span_km(soc)):
-            if not cp.operational or cp.id in exclude or cp.id in visited:
+            if not cp.operational or cp.id in exclude:
                 continue
             arr = dep + d_leg / ev.speed_kph
             soc_in = soc - soc_drop(ev, d_leg)
@@ -200,22 +220,20 @@ def plan_route(
                     slot = arr
                 soc_out = ev.charge_target_soc
             ndep = slot + duration
-            nvis = visited | {cp.id}
+            key = (n_stops + 1, seq + (cp.id,))
             entries = pareto.setdefault(cp.id, [])
-            if any(d <= ndep and s >= soc_out and v <= nvis for d, s, v in entries):
+            if any(d <= ndep and s >= soc_out and k <= key for d, s, k in entries):
                 continue
-            entries[:] = [(d, s, v) for d, s, v in entries
-                          if not (ndep <= d and soc_out >= s and nvis <= v)]
-            entries.append((ndep, soc_out, nvis))
-            stop = Stop(cp.id, arr, slot - arr, slot, ndep, soc_in, soc_out)
-            leg = Leg(loc, cp.location, d_leg, d_leg / ev.speed_kph)
+            entries[:] = [(d, s, k) for d, s, k in entries
+                          if not (ndep <= d and soc_out >= s and key <= k)]
+            entries.append((ndep, soc_out, key))
             heapq.heappush(
                 heap,
-                (ndep, n_stops + 1, seq + (cp.id,), cp.location, soc_out,
-                 nvis, stops + (stop,), legs + (leg,)),
+                (ndep, key[0], key[1], soc_out,
+                 (node, cp, d_leg, arr, slot, soc_in, soc_out, ndep, loc)),
             )
 
-    if not candidates:
+    if best is None:
         reason = (
             f"stop budget exhausted at {cfg.max_stops} stops"
             if budget_hit
@@ -223,13 +241,19 @@ def plan_route(
         )
         return Unroutable(req.ev_id, reason, direct)
 
-    arrival, _, _, legs, stops = min(candidates, key=lambda c: (c[0], c[1], c[2]))
+    arrival, _, _, node, loc, d_dest = best
+    legs = [Leg(loc, req.destination, d_dest, d_dest / ev.speed_kph)]
+    stops = []
+    while node is not None:
+        node, cp, d_leg, arr, slot, soc_in, soc_out, ndep, start = node
+        legs.append(Leg(start, cp.location, d_leg, d_leg / ev.speed_kph))
+        stops.append(Stop(cp.id, arr, slot - arr, slot, ndep, soc_in, soc_out))
     return RoutePlan(
         ev_id=req.ev_id,
         depart_h=req.depart_h,
         arrival_h=arrival,
-        legs=legs,
-        stops=stops,
+        legs=tuple(reversed(legs)),
+        stops=tuple(reversed(stops)),
         direct_km=direct,
         needed_charge=True,
     )
