@@ -108,15 +108,16 @@ def enumerate_best(
     return best
 
 
-def random_router_instance(rng: np.random.Generator):
+def random_router_instance(rng: np.random.Generator, max_points: int = 6):
     """A random small planning problem with a non-empty prior ledger.
 
-    Charge points are biased toward the origin-destination corridor so the
-    mix covers zero-stop, deep multi-stop and unroutable cases.
+    Charge points (one to max_points of them) are biased toward the
+    origin-destination corridor so the mix covers zero-stop, deep
+    multi-stop and unroutable cases.
     """
     anchor = GeoPoint(float(rng.uniform(-60.0, 60.0)), float(rng.uniform(-170.0, 170.0)))
     trip_east = float(rng.uniform(30.0, 200.0))
-    n_cp = int(rng.integers(1, 7))
+    n_cp = int(rng.integers(1, max_points + 1))
     pts = []
     for i in range(n_cp):
         if rng.random() < 0.75:

@@ -80,6 +80,42 @@ def test_within_radius_matches_brute_force():
         assert [(d, p.id) for d, p in got] == [(d, p.id) for d, p in want]
 
 
+def test_within_radius_memo_matches_fresh_scan(monkeypatch):
+    import chargesim.network as network
+
+    rng = np.random.default_rng(7)
+    net = random_net(rng, n=300)
+    calls = 0
+
+    def counting_distance(a, b):
+        nonlocal calls
+        calls += 1
+        return distance_km(a, b)
+
+    monkeypatch.setattr(network, "distance_km", counting_distance)
+    for p in net.points[:40]:
+        center = p.location
+        narrow = float(rng.uniform(20.0, 40.0))
+        wide = float(rng.uniform(60.0, 120.0))
+        between = float(rng.uniform(0.0, wide))
+        at_hit = net._scan(center, wide)[-1][0]  # exactly a hit's distance
+        queries = [(narrow, False), (wide, False), (between, True), (at_hit, True), (narrow, True)]
+        for r, memoized in queries:
+            calls = 0
+            got = net.within_radius(center, r)
+            # inside the widest scan so far a query computes no distance
+            assert (calls == 0) == memoized
+            assert got == net._scan(center, r)
+
+    # an off-network centre scans on every query
+    off = offset_km(ANCHOR, 1.234, 5.678)
+    for _ in range(2):
+        calls = 0
+        got = net.within_radius(off, 80.0)
+        assert calls > 0
+        assert got == net._scan(off, 80.0)
+
+
 def test_within_radius_edges():
     rng = np.random.default_rng(1)
     net = random_net(rng, n=50)

@@ -5,7 +5,7 @@ import pytest
 
 from chargesim.ev import EvParams
 from chargesim.geo import GeoPoint, distance_km, offset_km
-from chargesim.network import ChargeNetwork, ChargePoint
+from chargesim.network import ChargeNetwork, ChargePoint, add_colocated_redundancy
 from chargesim.reservations import Booking, ReservationLedger, SlotConflict
 from chargesim.router import (
     AWARE,
@@ -218,6 +218,37 @@ def test_matches_exhaustive_enumeration():
         unpruned = plan_route(req, net, led, dataclasses.replace(cfg, prune=False))
         assert unpruned == plan
     assert routed > 10  # the mix must actually exercise routed cases
+
+
+def test_matches_exhaustive_enumeration_with_colocated_twins():
+    # a twin beside every point gives zero-length legs and exact arrival
+    # ties between a point and its twin, which the dominance rule decides
+    # by stop count and stop ids; half the cases replay a fault (reduced
+    # charge, reserve spent, one point down, own bookings ignored)
+    rng = np.random.default_rng(np.random.SeedSequence(24680))
+    routed = 0
+    for i in range(200):
+        req, net, led, cfg = random_router_instance(rng, max_points=3)
+        net = add_colocated_redundancy(net, [p.id for p in net.points])
+        kwargs = {}
+        if i % 2:
+            kwargs = dict(
+                initial_soc=float(rng.uniform(0.3, 1.0)),
+                reserve_floor=0.0,
+                exclude=frozenset({net.points[0].id}),
+                ignore_ev=10_000 + int(rng.integers(0, 100)),
+            )
+        plan = plan_route(req, net, led, cfg, **kwargs)
+        best = enumerate_best(req, net, led, cfg, **kwargs)
+        if isinstance(plan, Unroutable):
+            assert best is None
+            continue
+        routed += 1
+        assert plan.arrival_h == best[0]
+        assert tuple(s.cp_id for s in plan.stops) == best[2]
+        unpruned = plan_route(req, net, led, dataclasses.replace(cfg, prune=False), **kwargs)
+        assert unpruned == plan
+    assert routed > 50
 
 
 def test_average_trip_speed_zero_guard():
