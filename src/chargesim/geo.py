@@ -28,9 +28,9 @@ class GeoPoint:
             raise ValueError(f"latitude out of range: {self.lat_deg}")
         # normalize longitude into [-180, 180)
         lon = self.lon_deg
-        if not math.isfinite(lon):
-            raise ValueError(f"longitude not finite: {lon}")
         if not -180.0 <= lon < 180.0:
+            if not math.isfinite(lon):
+                raise ValueError(f"longitude not finite: {lon}")
             lon = ((lon + 180.0) % 360.0) - 180.0
             object.__setattr__(self, "lon_deg", lon)
 

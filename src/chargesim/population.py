@@ -33,10 +33,6 @@ class Cell:
     center: GeoPoint
     population: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.population):
-            raise DataError(f"population not finite: {self.population}")
-
 
 @dataclass
 class PopulationGrid:
@@ -50,6 +46,8 @@ class PopulationGrid:
         if not self.cells:
             raise DataError("population grid has no cells")
         pops = np.array([c.population for c in self.cells], dtype=float)
+        if not np.all(np.isfinite(pops)):
+            raise DataError("population not finite")
         if np.any(pops < 0):
             raise DataError("negative population")
         if pops.sum() <= 0:
@@ -103,12 +101,15 @@ def load_population_csv(path) -> PopulationGrid:
                 lat, lon, pop = float(row[0]), float(row[1]), float(row[2])
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from exc
+            if not math.isfinite(pop):
+                raise DataError(f"{path}: line {lineno}: population not finite: {pop}")
             if pop < 0:
                 raise DataError(f"{path}: line {lineno}: negative population {pop}")
             try:
-                cells.append(Cell(GeoPoint(lat, lon), pop))
+                center = GeoPoint(lat, lon)
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from exc
+            cells.append(Cell(center, pop))
     return PopulationGrid(cells)
 
 

@@ -38,9 +38,9 @@ def test_grid_validation():
 
 
 @pytest.mark.parametrize("pop", [math.nan, math.inf])
-def test_cell_population_must_be_finite(pop, tmp_path):
+def test_population_must_be_finite(pop, tmp_path):
     with pytest.raises(DataError, match="finite"):
-        Cell(ANCHOR, pop)
+        PopulationGrid([Cell(ANCHOR, 1.0), Cell(ANCHOR, pop)])
     path = tmp_path / "pop.csv"
     path.write_text(f"lat,lon,population\n0,12,1\n0,12.01,{pop}\n")
     with pytest.raises(DataError, match="line 3"):
