@@ -81,8 +81,6 @@ def test_within_radius_matches_brute_force():
 
 
 def test_within_radius_memo_matches_fresh_scan(monkeypatch):
-    import chargesim.network as network
-
     rng = np.random.default_rng(7)
     net = random_net(rng, n=300)
     calls = 0
@@ -92,7 +90,7 @@ def test_within_radius_memo_matches_fresh_scan(monkeypatch):
         calls += 1
         return distance_km(a, b)
 
-    monkeypatch.setattr(network, "distance_km", counting_distance)
+    monkeypatch.setattr("chargesim.network.distance_km", counting_distance)
     for p in net.points[:40]:
         center = p.location
         narrow = float(rng.uniform(20.0, 40.0))
