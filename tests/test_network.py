@@ -94,10 +94,15 @@ def test_within_radius_memo_matches_fresh_scan(monkeypatch):
     for p in net.points[:40]:
         center = p.location
         narrow = float(rng.uniform(20.0, 40.0))
+        # exactly the distance of the nearest point outside the narrow scan
+        beyond = next(d for d, _ in net._scan(center, 200.0) if d > narrow)
         wide = float(rng.uniform(60.0, 120.0))
         between = float(rng.uniform(0.0, wide))
         at_hit = net._scan(center, wide)[-1][0]  # exactly a hit's distance
-        queries = [(narrow, False), (wide, False), (between, True), (at_hit, True), (narrow, True)]
+        queries = [
+            (narrow, False), (beyond, False), (wide, False),
+            (between, True), (at_hit, True), (narrow, True),
+        ]
         for r, memoized in queries:
             calls = 0
             got = net.within_radius(center, r)

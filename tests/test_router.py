@@ -193,6 +193,26 @@ def test_tie_breaks_toward_smaller_stop_id():
     assert [s.cp_id for s in plan.stops] == ["a"]
 
 
+def test_tie_at_a_shared_slot_breaks_toward_smaller_stop_ids():
+    # s1 is booked, so a vehicle through s1 waits there while one through
+    # its free twin does not; both then queue for the same slot at s2 and
+    # arrive together. The later label at s2 has the smaller stop ids and
+    # must survive dominance to win the tie.
+    req, net = corridor_fixture()
+    net = add_colocated_redundancy(net, ["s1"])
+    led = ReservationLedger()
+    led.commit(Booking("s1", 99, 0.0, 1.0))
+    led.commit(Booking("s2", 98, 0.5, 2.5))
+    plan = plan_route(req, net, led, CFG)
+    assert [s.cp_id for s in plan.stops] == ["s1", "s2"]
+    assert plan.stops[1].charge_start_h == 2.5
+    twin = plan_route(req, net, led, CFG, exclude=frozenset({"s1"}))
+    assert [s.cp_id for s in twin.stops] == ["s1+r1", "s2"]
+    assert twin.arrival_h == plan.arrival_h
+    best = enumerate_best(req, net, led, CFG)
+    assert (plan.arrival_h, tuple(s.cp_id for s in plan.stops)) == (best[0], best[2])
+
+
 def test_determinism():
     rng = np.random.default_rng(np.random.SeedSequence(2024))
     req, net, led, cfg = random_router_instance(rng)
