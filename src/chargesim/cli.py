@@ -633,9 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="fleet sweep: metrics CSV + summary JSON")
     _add_common(p, n_ev_grid="n_ev_grid", onboard_ac="onboard_ac_limit_kw")
     p.add_argument("--n-ev-grid", dest="n_ev_grid", help="comma list of fleet sizes")
-    p.add_argument(
-        "--onboard-ac", type=float, dest="onboard_ac", help="onboard AC charger limit, kW"
-    )
+    p.add_argument("--onboard-ac", dest="onboard_ac", help="onboard AC charger limit, kW")
     p.add_argument("--dump-routes", action="store_true", help="write per-trip routes.jsonl")
     p.add_argument("--dump-ledger", action="store_true", help="write realized bookings CSV")
     p.set_defaults(func=cmd_simulate)
@@ -645,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pf-grid", help="comma list, or start:stop[:n][:log]")
     p.add_argument("--masks", type=int, dest="masks", help="fault masks per p_f")
     p.add_argument("--fault-seed", type=int, dest="fault_seed", help="mask stream seed")
-    p.add_argument("--reserve", type=float, dest="reserve", help="reserve state of charge")
+    p.add_argument("--reserve", dest="reserve", help="reserve state of charge")
     p.add_argument(
         "--add-redundancy",
         metavar="isolated:RADIUS_KM | id,id,...",
@@ -655,8 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="largest fleet meeting a failure target")
     _add_common(p, threshold="capacity_threshold_kph", target="capacity_target_p")
-    p.add_argument("--threshold", type=float, dest="threshold", help="speed threshold, kph")
-    p.add_argument("--target", type=float, dest="target", help="tolerated P(below threshold)")
+    p.add_argument("--threshold", dest="threshold", help="speed threshold, kph")
+    p.add_argument("--target", dest="target", help="tolerated P(below threshold)")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("validate", help="arithmetic and distribution self-checks")

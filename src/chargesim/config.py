@@ -8,6 +8,7 @@ does not use are simply ignored by it.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import fields
 
@@ -28,8 +29,15 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_float(s: str) -> float:
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"not finite: {s.strip()!r}")
+    return v
+
+
 def _parse_floats(s: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in s.split(",") if x.strip())
+    return tuple(_parse_float(x) for x in s.split(",") if x.strip())
 
 
 def _parse_ints(s: str) -> tuple[int, ...]:
@@ -47,20 +55,20 @@ SCHEMA: dict[str, tuple] = {
     "mode": (str, "aware", "reservation mode: aware | blind"),
     "threads": (int, 0, "worker processes for replicates; 0 = all cores"),
     "max_stops": (int, 64, "stop budget per journey"),
-    "battery_kwh": (float, 24.0, "usable battery energy"),
-    "speed_kph": (float, 90.0, "cruise speed"),
-    "max_range_km": (float, 110.0, "rated range on a full battery"),
-    "dc_charge_kw": (float, 45.0, "vehicle-side DC charging limit"),
-    "onboard_ac_limit_kw": (float, 22.0, "onboard AC charger limit"),
-    "reserve_soc": (float, 0.20, "minimum state of charge en route"),
-    "charge_target_soc": (float, 0.80, "charge-to level at each stop"),
-    "route_scale": (float, 0.85, "straight-line range discount for road indirection"),
+    "battery_kwh": (_parse_float, 24.0, "usable battery energy"),
+    "speed_kph": (_parse_float, 90.0, "cruise speed"),
+    "max_range_km": (_parse_float, 110.0, "rated range on a full battery"),
+    "dc_charge_kw": (_parse_float, 45.0, "vehicle-side DC charging limit"),
+    "onboard_ac_limit_kw": (_parse_float, 22.0, "onboard AC charger limit"),
+    "reserve_soc": (_parse_float, 0.20, "minimum state of charge en route"),
+    "charge_target_soc": (_parse_float, 0.80, "charge-to level at each stop"),
+    "route_scale": (_parse_float, 0.85, "straight-line range discount for road indirection"),
     "speed_thresholds_kph": (_parse_floats, (60.0, 40.0, 10.0), "below-speed fractions to report"),
     "pf_grid": (_parse_floats, (0.01, 0.02, 0.05, 0.1, 0.2), "fault probabilities for the sweep"),
     "fault_masks": (int, 100, "fault masks per p_f"),
     "fault_seed": (int, 0, "seed for fault mask draws"),
-    "capacity_threshold_kph": (float, 40.0, "speed threshold for capacity search"),
-    "capacity_target_p": (float, 1e-4, "tolerated below-threshold probability"),
+    "capacity_threshold_kph": (_parse_float, 40.0, "speed threshold for capacity search"),
+    "capacity_target_p": (_parse_float, 1e-4, "tolerated below-threshold probability"),
 }
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import DataError
 from .ev import EvParams
-from .faults import FaultConfig, run_fault_sweep
 from .network import ChargeNetwork, load_network_csv
 from .population import (
     PopulationGrid,
@@ -56,7 +55,6 @@ class ScenarioConfig:
     network_csv: str | None = None
     speed_thresholds_kph: tuple[float, ...] = DEFAULT_SPEED_THRESHOLDS
     max_stops: int = 64
-    fault: FaultConfig | None = None
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -76,8 +74,6 @@ class ScenarioMetrics:
     completed: int = 0
     below: dict[float, int] = field(default_factory=dict)
     speed_sum_kph: float = 0.0
-    replayed: int = 0
-    stranded: int = 0
 
     def __post_init__(self) -> None:
         for t in self.thresholds:
@@ -109,8 +105,6 @@ class ScenarioMetrics:
         self.unroutable += other.unroutable
         self.completed += other.completed
         self.speed_sum_kph += other.speed_sum_kph
-        self.replayed += other.replayed
-        self.stranded += other.stranded
         for t in self.thresholds:
             self.below[t] += other.below[t]
 
@@ -194,7 +188,6 @@ def run_replicate(
     results = route_and_commit(trips, net, ledger, router_cfg)
 
     m = ScenarioMetrics(n_ev=cfg.n_ev, thresholds=tuple(cfg.speed_thresholds_kph))
-    plans: list[RoutePlan] = []
     for r in results:
         m.trips += 1
         if r.needed_charge:
@@ -202,28 +195,12 @@ def run_replicate(
         if isinstance(r, Unroutable):
             m.unroutable += 1
             continue
-        plans.append(r)
         m.completed += 1
         v = average_trip_speed(r)
         m.speed_sum_kph += v
         for t in m.thresholds:
             if v < t:
                 m.below[t] += 1
-
-    if cfg.fault is not None:
-        rows = run_fault_sweep(
-            plans,
-            m.unroutable,
-            net,
-            ledger,
-            router_cfg,
-            [cfg.fault.p_f],
-            cfg.fault.n_masks,
-            # distinct mask stream per replicate
-            seed=cfg.fault.seed + replicate,
-        )
-        m.replayed += rows[0].trips
-        m.stranded += rows[0].stranded
     return m, results
 
 

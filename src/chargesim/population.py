@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DataError
 from .geo import EARTH_RADIUS_KM, KM_PER_DEG_LAT, GeoPoint, offset_km
@@ -22,6 +24,11 @@ CELL_KM = 1.0
 
 # ring half-width schedule, km: widen until candidates exist
 RING_HALF_WIDTHS = (0.5, 1.0, 2.0, 5.0)
+
+# slack on the candidate ball's chord radius on the unit sphere, relative
+# and absolute; far above the rounding of the haversine and the unit vectors
+_CHORD_REL_MARGIN = 1e-9
+_CHORD_ABS_MARGIN = 1e-9
 
 
 class RingEmpty(LookupError):
@@ -64,15 +71,50 @@ class PopulationGrid:
     def __len__(self) -> int:
         return len(self.cells)
 
-    def distances_from(self, p: GeoPoint) -> np.ndarray:
-        """Haversine distance from a point to every cell centre, km."""
+    def __getstate__(self) -> dict:
+        # the ring index is rebuilt on first use rather than pickled
+        state = self.__dict__.copy()
+        state.pop("_tree", None)
+        return state
+
+    @cached_property
+    def _tree(self) -> cKDTree:
+        """k-d tree over the cell centres' unit vectors."""
+        return cKDTree(_unit_vectors(self._lat_rad, self._lon_rad))
+
+    def distances_from(self, p: GeoPoint, idx: np.ndarray | None = None) -> np.ndarray:
+        """Haversine distance from a point to every cell centre, km, or to
+        the cells idx only. Element for element the same floats as the
+        full scan."""
+        lat_c, lon_c = self._lat_rad, self._lon_rad
+        if idx is not None:
+            lat_c, lon_c = lat_c[idx], lon_c[idx]
         lat = math.radians(p.lat_deg)
         lon = math.radians(p.lon_deg)
         s = (
-            np.sin((self._lat_rad - lat) / 2.0) ** 2
-            + math.cos(lat) * np.cos(self._lat_rad) * np.sin((self._lon_rad - lon) / 2.0) ** 2
+            np.sin((lat_c - lat) / 2.0) ** 2
+            + math.cos(lat) * np.cos(lat_c) * np.sin((lon_c - lon) / 2.0) ** 2
         )
         return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+
+    def cells_within(self, p: GeoPoint, radius_km: float) -> np.ndarray:
+        """Indices, ascending, of a superset of the cells whose centres lie
+        within radius_km of p (every cell once the radius reaches the
+        antipode)."""
+        angle = radius_km / EARTH_RADIUS_KM
+        # not (angle < pi) also sends nan to the full set
+        chord = 2.0 * math.sin(angle / 2.0) if angle < math.pi else 2.0
+        chord = chord * (1.0 + _CHORD_REL_MARGIN) + _CHORD_ABS_MARGIN
+        x = _unit_vectors(math.radians(p.lat_deg), math.radians(p.lon_deg))
+        hits = self._tree.query_ball_point(x, chord)
+        return np.sort(np.fromiter(hits, dtype=np.intp, count=len(hits)))
+
+
+def _unit_vectors(lat_rad, lon_rad) -> np.ndarray:
+    """(..., 3) unit vectors of points given in radians."""
+    cos_lat = np.cos(lat_rad)
+    xyz = (cos_lat * np.cos(lon_rad), cos_lat * np.sin(lon_rad), np.sin(lat_rad))
+    return np.stack(xyz, axis=-1)
 
 
 def load_population_csv(path) -> PopulationGrid:
@@ -140,21 +182,28 @@ def sample_destination(
     the half-width widens on a fixed schedule so rejection stays rare on
     realistic grids. If even the widest ring is empty, raises RingEmpty and
     the caller draws a fresh trip length.
+
+    The rings are cut from the cells the grid's k-d tree finds inside the
+    widest ring's outer edge. Those stay in index order, so the weights,
+    their cumulative sum and the pick are the floats a scan of every cell
+    would give, and so are the draws.
     """
     if trip_km < 0:
         raise DataError(f"negative trip length: {trip_km}")
-    d = grid.distances_from(origin)
+    cand = grid.cells_within(origin, trip_km + RING_HALF_WIDTHS[-1])
+    d = grid.distances_from(origin, cand)
     for w in RING_HALF_WIDTHS:
         mask = np.abs(d - trip_km) <= w
         if not mask.any():
             continue
-        weights = grid._pops[mask]
+        ring = cand[mask]
+        weights = grid._pops[ring]
         total = weights.sum()
         if total <= 0:
             continue
         cum = np.cumsum(weights)
         u = rng.random() * total
         pick = int(np.searchsorted(cum, u, side="right"))
-        idx = int(np.flatnonzero(mask)[pick])
+        idx = int(ring[pick])
         return _jitter_within_cell(grid.cells[idx].center, rng)
     raise RingEmpty(f"no populated cell within {RING_HALF_WIDTHS[-1]} km of ring at {trip_km:.1f} km")

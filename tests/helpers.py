@@ -3,7 +3,8 @@
 The oracles recompute results by a different algorithm than the production
 code (exhaustive enumeration instead of label-setting search, lattice scan
 instead of sorted-gap walk, even-grid Simpson instead of the log-knot
-table), so agreement is evidence and not tautology. Fixture builders are
+table, a haversine over every cell instead of the k-d tree's candidate
+ball), so agreement is evidence and not tautology. Fixture builders are
 anchored at the equator where eastward kilometre offsets reproduce
 haversine distances to machine precision, which keeps hand-built
 geometry exact.
@@ -19,10 +20,17 @@ from pathlib import Path
 import numpy as np
 
 import chargesim
+from chargesim.errors import DataError
 from chargesim.ev import EvParams, charge_duration_h, effective_charge_kw, soc_drop
 from chargesim.geo import GeoPoint, distance_km, offset_km
 from chargesim.network import ChargeNetwork, ChargePoint
-from chargesim.population import Cell, PopulationGrid
+from chargesim.population import (
+    RING_HALF_WIDTHS,
+    Cell,
+    PopulationGrid,
+    RingEmpty,
+    _jitter_within_cell,
+)
 from chargesim.reservations import Booking, ReservationLedger
 from chargesim.router import (
     AWARE,
@@ -254,6 +262,35 @@ def corridor_fixture():
     )
     req = TripRequest(ev_id=7, origin=anchor, destination=offset_km(anchor, 150.0, 0.0))
     return req, net
+
+
+# ---------------------------------------------------------------------------
+# destination oracle: the ring cut from a haversine to every cell
+
+
+def full_scan_sample_destination(
+    grid: PopulationGrid, origin: GeoPoint, trip_km: float, rng: np.random.Generator
+) -> GeoPoint:
+    """sample_destination without the spatial index: the rings are cut from
+    the distances to all cells, so the weights, their cumulative sum and
+    the pick come from the full arrays in index order."""
+    if trip_km < 0:
+        raise DataError(f"negative trip length: {trip_km}")
+    d = grid.distances_from(origin)
+    for w in RING_HALF_WIDTHS:
+        mask = np.abs(d - trip_km) <= w
+        if not mask.any():
+            continue
+        weights = grid._pops[mask]
+        total = weights.sum()
+        if total <= 0:
+            continue
+        cum = np.cumsum(weights)
+        u = rng.random() * total
+        pick = int(np.searchsorted(cum, u, side="right"))
+        idx = int(np.flatnonzero(mask)[pick])
+        return _jitter_within_cell(grid.cells[idx].center, rng)
+    raise RingEmpty(f"no populated cell within {RING_HALF_WIDTHS[-1]} km of ring at {trip_km:.1f} km")
 
 
 def meridian_grid() -> PopulationGrid:

@@ -201,6 +201,22 @@ def test_non_finite_inputs_exit_codes(fixture_dir, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["faults", "--set", "pf_grid=0.1,nan"],
+        ["simulate", "--set", "speed_thresholds_kph=60,inf"],
+        ["capacity", "--set", "capacity_threshold_kph=nan"],
+        ["capacity", "--threshold", "inf"],
+    ],
+)
+def test_non_finite_sweep_and_threshold_keys_exit_2(fixture_dir, tmp_path, args, capsys):
+    # keys read outside EvParams reject non-finite values too
+    rc = main(args + ["-c", str(fixture_dir / "scenario.cfg"), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_faults_subcommand(fixture_dir, tmp_path):
     out = tmp_path / "faults"
     rc = main(

@@ -1,10 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from chargesim.errors import DataError
-from chargesim.geo import GeoPoint, distance_km, offset_km
+from chargesim.experiment import sample_trip_batch
+from chargesim.geo import EARTH_RADIUS_KM, GeoPoint, distance_km, offset_km
 from chargesim.population import (
     RING_HALF_WIDTHS,
     Cell,
@@ -15,6 +17,8 @@ from chargesim.population import (
     sample_origin,
     sample_origin_cell,
 )
+from chargesim.triplength import default_trip_distribution
+from helpers import full_scan_sample_destination
 
 ANCHOR = GeoPoint(0.0, 12.0)
 
@@ -159,6 +163,131 @@ def test_destination_jitter_bound():
     for _ in range(200):
         dest = sample_destination(g, ANCHOR, 30.0, rng)
         assert abs(distance_km(ANCHOR, dest) - 30.0) <= bound
+
+
+def _random_grid(rng):
+    """A few to a few hundred cells scattered over 3 to 3000 km around a
+    random anchor; about a fifth of them unpopulated."""
+    anchor = GeoPoint(rng.uniform(-70.0, 70.0), rng.uniform(-180.0, 180.0))
+    span = 10.0 ** rng.uniform(0.5, 3.5)
+    n = int(rng.integers(1, 200))
+    cells = [
+        Cell(
+            offset_km(anchor, *rng.uniform(-span / 2.0, span / 2.0, 2)),
+            0.0 if rng.random() < 0.2 else float(rng.integers(1, 1000)),
+        )
+        for _ in range(n)
+    ]
+    cells[0] = Cell(cells[0].center, 1.0)
+    return PopulationGrid(cells), anchor, span
+
+
+def _edge_trip(d, w, side):
+    """The trip length that puts a cell at distance d on the last float
+    inside the ring |d - trip| <= w: at its outer edge for side +1, its
+    inner edge for side -1."""
+    t = d - side * w
+    step_out = -math.inf if side > 0 else math.inf
+    while abs(d - t) <= w:
+        t = math.nextafter(t, step_out)
+    while abs(d - t) > w:
+        t = math.nextafter(t, -step_out)
+    return t
+
+
+def _draw(sample, grid, origin, trip_km, seed):
+    rng = np.random.default_rng(seed)
+    try:
+        p = sample(grid, origin, trip_km, rng)
+    except RingEmpty:
+        return "empty", rng.random()
+    return (p.lat_deg.hex(), p.lon_deg.hex()), rng.random()
+
+
+def test_destination_matches_full_scan_oracle():
+    # the k-d tree cut must give the full scan's draws bit for bit, and
+    # the same RingEmpty, for every kind of trip the sampler can be asked
+    rng = np.random.default_rng(101)
+    edge_cases = widened = empty = 0
+    for case in range(400):
+        grid, anchor, span = _random_grid(rng)
+        if case % 4 == 0:  # off the grid, up to a few thousand km away
+            origin = offset_km(anchor, *rng.uniform(-3000.0, 3000.0, 2))
+        else:
+            origin = offset_km(grid.cells[int(rng.integers(len(grid)))].center,
+                               *rng.uniform(-0.5, 0.5, 2))
+        d = grid.distances_from(origin)
+        trips = [0.0, rng.uniform(0.0, 2000.0), rng.uniform(0.0, 2.0 * span)]
+        for i in rng.integers(len(grid), size=6):
+            w = RING_HALF_WIDTHS[int(rng.integers(len(RING_HALF_WIDTHS)))]
+            trips.append(_edge_trip(float(d[i]), w, 1))
+            trips.append(_edge_trip(float(d[i]), w, -1))
+            trips.append(float(d[i]) + rng.uniform(-5.0, 5.0))
+        for trip_km in trips:
+            if trip_km < 0:
+                continue
+            seed = int(rng.integers(2**32))
+            want = _draw(full_scan_sample_destination, grid, origin, trip_km, seed)
+            assert _draw(sample_destination, grid, origin, trip_km, seed) == want, (
+                case, trip_km
+            )
+            ring = np.abs(d - trip_km)
+            edge_cases += bool(np.any(ring == RING_HALF_WIDTHS[-1]))
+            widened += bool(np.any(ring <= 5.0)) and not np.any(ring <= 2.0)
+            empty += want[0] == "empty"
+    # the draws above did reach the cases they were built for
+    assert edge_cases > 100 and widened > 100 and empty > 100
+
+
+def test_destination_matches_full_scan_across_the_antipode():
+    # rings whose outer edge passes the antipode take every cell
+    anchor = GeoPoint(20.0, 30.0)
+    far = GeoPoint(-20.0, -150.0)
+    rng = np.random.default_rng(103)
+    cells = [Cell(offset_km(far, *rng.uniform(-8.0, 8.0, 2)), 1.0) for _ in range(50)]
+    cells += [Cell(offset_km(anchor, *rng.uniform(-50.0, 50.0, 2)), 1.0) for _ in range(50)]
+    grid = PopulationGrid(cells)
+    half = math.pi * EARTH_RADIUS_KM
+    for trip_km in np.linspace(half - 15.0, half + 5.0, 41):
+        seed = int(rng.integers(2**32))
+        want = _draw(full_scan_sample_destination, grid, anchor, trip_km, seed)
+        assert _draw(sample_destination, grid, anchor, trip_km, seed) == want
+    assert len(grid.cells_within(anchor, half)) == len(grid)
+
+
+@pytest.mark.parametrize("n", list(range(34)) + [257, 999])
+def test_distances_from_subset_matches_full_scan(n):
+    # same floats element for element whatever the subset's length, so the
+    # vector loops' tails round as their bodies do
+    rng = np.random.default_rng(n)
+    grid, anchor, _ = _random_grid(rng)
+    grid = PopulationGrid(grid.cells * (1 + 1000 // len(grid)))
+    for _ in range(5):
+        p = offset_km(anchor, *rng.uniform(-100.0, 100.0, 2))
+        full = grid.distances_from(p)
+        start = int(rng.integers(len(grid) - n + 1))
+        for idx in (
+            np.sort(rng.choice(len(grid), size=n, replace=False)),
+            rng.choice(len(grid), size=n),
+            np.arange(start, start + n),
+        ):
+            assert np.array_equal(grid.distances_from(p, idx), full[idx])
+
+
+def test_grid_pickles_without_its_ring_index():
+    rng = np.random.default_rng(107)
+    grid, _, _ = _random_grid(rng)
+    dist = default_trip_distribution()
+    size = len(pickle.dumps(grid))
+    before = sample_trip_batch(grid, dist, 5, 0, 50)
+    assert "_tree" in vars(grid)  # sampling built the index
+    assert len(pickle.dumps(grid)) == size
+    copy = pickle.loads(pickle.dumps(grid))
+    assert "_tree" not in vars(copy)
+    after = sample_trip_batch(copy, dist, 5, 0, 50)
+    assert [(t.destination.lat_deg.hex(), t.destination.lon_deg.hex()) for t in after] == [
+        (t.destination.lat_deg.hex(), t.destination.lon_deg.hex()) for t in before
+    ]
 
 
 def test_negative_trip_length_rejected():
