@@ -17,7 +17,7 @@ from .experiment import (
     run_scenario,
     run_scenario_grid,
 )
-from .faults import FaultConfig, run_fault_sweep, sample_fault_mask
+from .faults import FaultConfig, run_fault_sweep, sample_fault_masks
 from .geo import GeoPoint, distance_km, offset_km
 from .network import ChargeNetwork, ChargePoint, add_colocated_redundancy, load_network_csv
 from .population import PopulationGrid, load_population_csv
@@ -76,7 +76,7 @@ __all__ = [
     "run_fault_sweep",
     "run_scenario",
     "run_scenario_grid",
-    "sample_fault_mask",
+    "sample_fault_masks",
     "soc_drop",
     "__version__",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -40,10 +41,10 @@ from .experiment import (
     capacity_search,
     cost_per_user_eur,
     load_scenario_inputs,
-    run_replicate,
+    run_replicates,
     run_scenario_grid,
 )
-from .faults import SweepRow, run_fault_sweep
+from .faults import run_fault_sweep
 from .fixtures import (
     PopulationBlob,
     synthetic_network,
@@ -53,9 +54,9 @@ from .fixtures import (
 )
 from .geo import GeoPoint
 from .network import AC, DC, ChargeNetwork, ChargePoint, add_colocated_redundancy
-from .reservations import ReservationLedger
+# unused here; perfbench's tracer wraps ledgers through cli.ReservationLedger
+from .reservations import ReservationLedger  # noqa: F401
 from .router import RouterConfig, RoutePlan, Unroutable, average_trip_speed
-from .stats import wilson_interval
 from .triplength import default_trip_distribution
 
 
@@ -252,9 +253,7 @@ def cmd_simulate(ns) -> int:
         total = ScenarioMetrics(n_ev=cfg.n_ev, thresholds=tuple(cfg.speed_thresholds_kph))
         route_lines: list[str] = []
         ledger_lines = ["replicate,cp_id,ev_id,start_h,end_h"]
-        for r in range(cfg.replicates):
-            ledger = ReservationLedger()
-            m, results = run_replicate(cfg, r, grid, net, dist, ledger=ledger)
+        for r, (m, results, ledger) in enumerate(run_replicates(cfg, grid, net, dist)):
             total.merge(m)
             route_lines += [
                 json.dumps(_route_record(r, res), sort_keys=True) for res in results
@@ -301,29 +300,6 @@ def cmd_simulate(ns) -> int:
 # faults
 
 
-def _merge_sweep_rows(per_replicate: list[list[SweepRow]]) -> list[SweepRow]:
-    merged = []
-    for rows in zip(*per_replicate):
-        trips = sum(r.trips for r in rows)
-        needed = sum(r.needed_charge for r in rows)
-        stranded = sum(r.stranded for r in rows)
-        unroutable = sum(r.unroutable for r in rows)
-        lo, hi = wilson_interval(stranded, trips)
-        merged.append(
-            SweepRow(
-                p_f=rows[0].p_f,
-                trips=trips,
-                needed_charge=needed,
-                stranded=stranded,
-                unroutable=unroutable,
-                p_s=stranded / trips if trips else 0.0,
-                ci_low=lo,
-                ci_high=hi,
-            )
-        )
-    return merged
-
-
 def _parse_redundancy(text: str, net: ChargeNetwork) -> list[str]:
     s = text.strip()
     if s.lower().startswith("isolated:"):
@@ -352,26 +328,22 @@ def cmd_faults(ns) -> int:
         net = add_colocated_redundancy(net, targets)
         print(f"added {len(targets)} redundant points; network now {len(net)} points")
 
-    per_replicate = []
+    rows = None
     router_cfg = RouterConfig(ev=cfg.ev, mode=cfg.mode, max_stops=cfg.max_stops)
-    for r in range(cfg.replicates):
-        ledger = ReservationLedger()
-        _, results = run_replicate(cfg, r, grid, net, dist, ledger=ledger)
+    for r, (_, results, ledger) in enumerate(run_replicates(cfg, grid, net, dist)):
         plans = [p for p in results if isinstance(p, RoutePlan)]
         n_unroutable = sum(1 for p in results if isinstance(p, Unroutable))
-        per_replicate.append(
-            run_fault_sweep(
-                plans,
-                n_unroutable,
-                net,
-                ledger,
-                router_cfg,
-                list(pf_grid),
-                opts["fault_masks"],
-                seed=opts["fault_seed"] + r,
-            )
+        swept = run_fault_sweep(
+            plans,
+            n_unroutable,
+            net,
+            ledger,
+            router_cfg,
+            list(pf_grid),
+            opts["fault_masks"],
+            seed=opts["fault_seed"] + r,
         )
-    rows = _merge_sweep_rows(per_replicate)
+        rows = swept if rows is None else [a.merge(b) for a, b in zip(rows, swept)]
 
     out = _out_dir(ns)
     lines = ["p_f,trips,needed_charge,stranded,unroutable,p_s,ci_low,ci_high"]
@@ -536,10 +508,16 @@ def cmd_gen_fixtures(ns) -> int:
     out = _out_dir(ns)
     anchor = GeoPoint(53.0, -8.0)
     w, h = ns.width_km, ns.height_km
+    if not all(math.isfinite(x) for x in (w, h, ns.population)):
+        raise ConfigError("fixture width, height and population must be finite")
     if w < 4 or h < 4:
         raise ConfigError("fixture region must be at least 4 km on each side")
     if ns.population <= 0:
         raise ConfigError("fixture population must be positive")
+    if min(ns.n_dc, ns.n_ac, ns.blobs) < 0:
+        raise ConfigError("--n-dc, --n-ac and --blobs must not be negative")
+    if ns.n_ev < 1:
+        raise ConfigError("--n-ev must be at least 1")
 
     blobs = None
     if ns.blobs > 0:

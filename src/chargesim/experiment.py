@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -153,42 +154,26 @@ def sample_trip_batch(
     return [req for _, _, req in out]
 
 
-def route_and_commit(
-    trips: list[TripRequest],
-    net: ChargeNetwork,
-    ledger: ReservationLedger,
-    cfg: RouterConfig,
-) -> list[RoutePlan | Unroutable]:
-    """Plan and commit trips in the given order; realized plans returned in
-    the same order."""
-    results: list[RoutePlan | Unroutable] = []
-    for req in trips:
-        plan = plan_route(req, net, ledger, cfg)
-        if isinstance(plan, RoutePlan):
-            plan = commit_route(plan, ledger, cfg)
-        results.append(plan)
-    return results
-
-
 def run_replicate(
     cfg: ScenarioConfig,
     replicate: int,
     grid: PopulationGrid,
     net: ChargeNetwork,
     dist: TripLengthDistribution,
-    ledger: ReservationLedger | None = None,
-) -> tuple[ScenarioMetrics, list[RoutePlan | Unroutable]]:
-    """One replicate: sample, route, commit, measure. Returns the metrics
-    and the per-trip outcomes in processing order. Callers that want the
-    realized bookings pass their own ledger and read it afterwards."""
+) -> tuple[ScenarioMetrics, list[RoutePlan | Unroutable], ReservationLedger]:
+    """One replicate: sample, then plan, commit and measure each trip in
+    processing order. Returns the metrics, the per-trip outcomes in that
+    order and the ledger of realized bookings."""
     trips = sample_trip_batch(grid, dist, cfg.seed, replicate, cfg.n_ev)
     router_cfg = RouterConfig(ev=cfg.ev, mode=cfg.mode, max_stops=cfg.max_stops)
-    if ledger is None:
-        ledger = ReservationLedger()
-    results = route_and_commit(trips, net, ledger, router_cfg)
-
+    ledger = ReservationLedger()
     m = ScenarioMetrics(n_ev=cfg.n_ev, thresholds=tuple(cfg.speed_thresholds_kph))
-    for r in results:
+    results: list[RoutePlan | Unroutable] = []
+    for req in trips:
+        r = plan_route(req, net, ledger, router_cfg)
+        if isinstance(r, RoutePlan):
+            r = commit_route(r, ledger, router_cfg)
+        results.append(r)
         m.trips += 1
         if r.needed_charge:
             m.needed_charge += 1
@@ -201,7 +186,30 @@ def run_replicate(
         for t in m.thresholds:
             if v < t:
                 m.below[t] += 1
-    return m, results
+    return m, results, ledger
+
+
+def run_replicates(
+    cfg: ScenarioConfig,
+    grid: PopulationGrid,
+    net: ChargeNetwork,
+    dist: TripLengthDistribution,
+) -> Iterator[tuple[ScenarioMetrics, list[RoutePlan | Unroutable], ReservationLedger]]:
+    """run_replicate for every replicate, yielded in replicate order. With
+    more than one worker and replicate they run in a process pool; the
+    outputs are the same either way, since replicates share no state."""
+    threads = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
+    if threads > 1 and cfg.replicates > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+            futures = [
+                pool.submit(run_replicate, cfg, r, grid, net, dist)
+                for r in range(cfg.replicates)
+            ]
+            for f in futures:
+                yield f.result()
+    else:
+        for r in range(cfg.replicates):
+            yield run_replicate(cfg, r, grid, net, dist)
 
 
 def load_scenario_inputs(
@@ -234,18 +242,8 @@ def run_scenario(
     config: replicates use disjoint substreams and merge in order."""
     grid, net, dist = load_scenario_inputs(cfg, grid, net, dist)
     total = ScenarioMetrics(n_ev=cfg.n_ev, thresholds=tuple(cfg.speed_thresholds_kph))
-    threads = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
-    if threads > 1 and cfg.replicates > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(run_replicate, cfg, r, grid, net, dist)
-                for r in range(cfg.replicates)
-            ]
-            for f in futures:
-                total.merge(f.result()[0])
-    else:
-        for r in range(cfg.replicates):
-            total.merge(run_replicate(cfg, r, grid, net, dist)[0])
+    for m, _, _ in run_replicates(cfg, grid, net, dist):
+        total.merge(m)
     assert total.completed + total.unroutable == total.trips
     return total
 

@@ -49,12 +49,15 @@ class ReplayOutcome:
     first_faulty_cp: str | None = None
 
 
-def sample_fault_mask(net: ChargeNetwork, p_f: float, rng: np.random.Generator) -> frozenset[str]:
-    """Independent per-point faults; iteration is in id order so the draw
-    sequence is reproducible."""
+def sample_fault_masks(
+    net: ChargeNetwork, p_fs: list[float], rng: np.random.Generator
+) -> list[frozenset[str]]:
+    """One mask per p_f from one uniform per point, drawn in id order so the
+    sequence is reproducible. A point is down when its uniform is below p_f,
+    so the masks nest as p_f rises (common random numbers)."""
     ids = sorted(net.by_id)
     u = rng.random(len(ids))
-    return frozenset(pid for pid, x in zip(ids, u) if x < p_f)
+    return [frozenset(pid for pid, x in zip(ids, u) if x < p_f) for p_f in p_fs]
 
 
 def replay_trip(
@@ -105,9 +108,30 @@ class SweepRow:
     needed_charge: int
     stranded: int
     unroutable: int
-    p_s: float
-    ci_low: float
-    ci_high: float
+
+    @property
+    def p_s(self) -> float:
+        return self.stranded / self.trips if self.trips else 0.0
+
+    @property
+    def ci_low(self) -> float:
+        return wilson_interval(self.stranded, self.trips)[0]
+
+    @property
+    def ci_high(self) -> float:
+        return wilson_interval(self.stranded, self.trips)[1]
+
+    def merge(self, other: "SweepRow") -> "SweepRow":
+        """The row over both rows' trips; counts add, the rates follow."""
+        if other.p_f != self.p_f:
+            raise ValueError(f"cannot merge sweep rows at p_f {self.p_f} and {other.p_f}")
+        return SweepRow(
+            p_f=self.p_f,
+            trips=self.trips + other.trips,
+            needed_charge=self.needed_charge + other.needed_charge,
+            stranded=self.stranded + other.stranded,
+            unroutable=self.unroutable + other.unroutable,
+        )
 
 
 def run_fault_sweep(
@@ -130,37 +154,26 @@ def run_fault_sweep(
     grid = sorted(set(p_f_grid))
     if not grid:
         raise ValueError("empty p_f grid")
-    ids = sorted(net.by_id)
     charging = [p for p in plans if p.stops]
     n_charging_flagged = sum(1 for p in plans if p.needed_charge)
     stranded = {p_f: 0 for p_f in grid}
     for m in range(n_masks):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(m,)))
-        u = rng.random(len(ids))
-        for p_f in grid:
-            mask = frozenset(pid for pid, x in zip(ids, u) if x < p_f)
+        for p_f, mask in zip(grid, sample_fault_masks(net, grid, rng)):
             if not mask:
                 continue
             for plan in charging:
                 out = replay_trip(plan, mask, net, ledger, cfg)
                 if out.status == STRANDED:
                     stranded[p_f] += 1
-    trips_per_mask = len(plans) + n_unroutable
-    rows = []
-    for p_f in grid:
-        trips = trips_per_mask * n_masks
-        k = stranded[p_f]
-        lo, hi = wilson_interval(k, trips)
-        rows.append(
-            SweepRow(
-                p_f=p_f,
-                trips=trips,
-                needed_charge=n_charging_flagged * n_masks,
-                stranded=k,
-                unroutable=n_unroutable * n_masks,
-                p_s=k / trips if trips else 0.0,
-                ci_low=lo,
-                ci_high=hi,
-            )
+    trips = (len(plans) + n_unroutable) * n_masks
+    return [
+        SweepRow(
+            p_f=p_f,
+            trips=trips,
+            needed_charge=n_charging_flagged * n_masks,
+            stranded=stranded[p_f],
+            unroutable=n_unroutable * n_masks,
         )
-    return rows
+        for p_f in grid
+    ]

@@ -45,8 +45,19 @@ def test_gen_fixtures_outputs(fixture_dir):
 
 
 def test_gen_fixtures_validation(tmp_path):
-    assert main(["gen-fixtures", "--out", str(tmp_path), "--width-km", "2"]) == 2
-    assert main(["gen-fixtures", "--out", str(tmp_path), "--population", "0"]) == 2
+    for flag, value in [
+        ("--width-km", "2"),
+        ("--population", "0"),
+        ("--width-km", "nan"),
+        ("--height-km", "inf"),
+        ("--population", "inf"),
+        ("--population", "nan"),
+        ("--n-dc", "-3"),
+        ("--n-ac", "-1"),
+        ("--blobs", "-1"),
+        ("--n-ev", "0"),
+    ]:
+        assert main(["gen-fixtures", "--out", str(tmp_path), flag, value]) == 2, (flag, value)
 
 
 def test_simulate_round_trip(fixture_dir, tmp_path):
@@ -236,6 +247,35 @@ def test_faults_subcommand(fixture_dir, tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert int(first[3]) == 0  # nothing strands when nothing fails
+
+
+def test_pooled_replicates_match_serial(fixture_dir, tmp_path):
+    # a short range makes trips charge, so routes, bookings and strandings
+    # all depend on the replicate each worker ran
+    common = ["-c", str(fixture_dir / "scenario.cfg"), "--replicates", "3",
+              "--set", "max_range_km=20"]
+    outs = {}
+    for threads in ("1", "2"):
+        d = tmp_path / f"threads{threads}"
+        assert main(
+            ["simulate", *common, "--out", str(d / "sim"), "--n-ev", "15",
+             "--threads", threads, "--dump-routes", "--dump-ledger"]
+        ) == 0
+        assert main(
+            ["faults", *common, "--out", str(d / "faults"), "--n-ev", "15",
+             "--threads", threads, "--pf-grid", "0.2,0.6", "--masks", "3"]
+        ) == 0
+        outs[threads] = {
+            name: (d / sub / name).read_bytes()
+            for sub, name in (("sim", "routes.jsonl"), ("sim", "ledger.csv"),
+                              ("faults", "faults.csv"))
+        }
+    assert outs["1"] == outs["2"]
+    ledger_rows = outs["1"]["ledger.csv"].decode().splitlines()[1:]
+    assert {row.split(",")[0] for row in ledger_rows} == {"0", "1", "2"}
+    sweep = [row.split(",") for row in outs["1"]["faults.csv"].decode().splitlines()[1:]]
+    assert [int(row[1]) for row in sweep] == [15 * 3 * 3] * 2  # n_ev * masks * replicates
+    assert int(sweep[-1][3]) > 0
 
 
 def test_faults_redundancy_flag(fixture_dir, tmp_path, capsys):

@@ -20,7 +20,6 @@ from chargesim.experiment import (
 from chargesim.geo import GeoPoint, distance_km, offset_km
 from chargesim.network import ChargeNetwork, ChargePoint
 from chargesim.population import Cell, PopulationGrid
-from chargesim.reservations import ReservationLedger
 from chargesim.stats import Z_95, wilson_interval, wilson_upper
 from chargesim.triplength import default_trip_distribution
 
@@ -120,8 +119,7 @@ def test_run_replicate_exposes_ledger_and_outcomes():
     grid = line_grid()
     net = line_net()
     cfg = ScenarioConfig(n_ev=60, seed=13)
-    led = ReservationLedger()
-    metrics, results = run_replicate(cfg, 0, grid, net, default_trip_distribution(), led)
+    metrics, results, led = run_replicate(cfg, 0, grid, net, default_trip_distribution())
     assert len(results) == 60
     booked_stops = sum(
         sum(1 for s in r.stops if s.charge_end_h > s.charge_start_h)

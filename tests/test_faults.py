@@ -7,6 +7,7 @@ from chargesim.ev import EvParams
 from chargesim.network import add_colocated_redundancy
 from chargesim.reservations import ReservationLedger
 from chargesim.router import AWARE, RouterConfig
+from chargesim.stats import wilson_interval
 from chargesim.faults import (
     COMPLETED,
     REROUTED,
@@ -14,8 +15,9 @@ from chargesim.faults import (
     FaultConfig,
     estimate_ps_first_order,
     replay_trip,
+    SweepRow,
     run_fault_sweep,
-    sample_fault_mask,
+    sample_fault_masks,
 )
 
 from helpers import (
@@ -61,15 +63,18 @@ def test_fixture_canonical_plans(net, planned):
 
 def test_mask_edge_probabilities(net):
     rng = np.random.default_rng(0)
-    assert sample_fault_mask(net, 0.0, rng) == frozenset()
-    assert sample_fault_mask(net, 1.0, rng) == frozenset(net.by_id)
+    assert sample_fault_masks(net, [0.0], rng) == [frozenset()]
+    assert sample_fault_masks(net, [1.0], rng) == [frozenset(net.by_id)]
+    # one uniform per point serves every p_f, so the masks nest
+    masks = sample_fault_masks(net, [0.0, 0.2, 0.5, 0.8, 1.0], rng)
+    assert all(a <= b for a, b in zip(masks, masks[1:]))
 
 
 def test_mask_binomial_band(net):
     rng = np.random.default_rng(np.random.SeedSequence(404))
     p = 0.3
     n_draws = 2000
-    total = sum(len(sample_fault_mask(net, p, rng)) for _ in range(n_draws))
+    total = sum(len(sample_fault_masks(net, [p], rng)[0]) for _ in range(n_draws))
     n = n_draws * len(net)
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(total / n - p) < 3.0 * sigma
@@ -169,6 +174,17 @@ def test_sweep_empty_grid_rejected(net, planned):
     plans, unroutable = planned
     with pytest.raises(ValueError, match="empty"):
         run_fault_sweep(plans, unroutable, net, ReservationLedger(), CFG, [], 5, 0)
+
+
+def test_sweep_row_merge_sums_counts():
+    a = SweepRow(p_f=0.1, trips=400, needed_charge=30, stranded=3, unroutable=2)
+    b = SweepRow(p_f=0.1, trips=250, needed_charge=21, stranded=5, unroutable=1)
+    m = a.merge(b)
+    assert m == SweepRow(p_f=0.1, trips=650, needed_charge=51, stranded=8, unroutable=3)
+    assert m.p_s == 8 / 650
+    assert (m.ci_low, m.ci_high) == wilson_interval(8, 650)
+    with pytest.raises(ValueError, match="p_f"):
+        a.merge(SweepRow(p_f=0.2, trips=1, needed_charge=0, stranded=0, unroutable=0))
 
 
 def test_fault_config_validation():
