@@ -17,7 +17,7 @@ from .experiment import (
     run_scenario,
     run_scenario_grid,
 )
-from .faults import FaultConfig, run_fault_sweep, sample_fault_masks
+from .faults import run_fault_sweep, sample_fault_masks
 from .geo import GeoPoint, distance_km, offset_km
 from .network import ChargeNetwork, ChargePoint, add_colocated_redundancy, load_network_csv
 from .population import PopulationGrid, load_population_csv
@@ -46,7 +46,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "EvParams",
-    "FaultConfig",
     "GeoPoint",
     "InfraCostModel",
     "PopulationGrid",

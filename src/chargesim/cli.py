@@ -322,6 +322,10 @@ def cmd_faults(ns) -> int:
     _require_sources(opts)
     cfg = scenario_from_options(opts)
     pf_grid = parse_pf_grid(ns.pf_grid) if ns.pf_grid else tuple(opts["pf_grid"])
+    if not pf_grid or not all(0.0 <= p <= 1.0 for p in pf_grid):
+        raise ConfigError(f"pf_grid needs one or more probabilities in [0, 1], got {pf_grid}")
+    if opts["fault_masks"] < 1:
+        raise ConfigError(f"fault_masks must be at least 1, got {opts['fault_masks']}")
     grid, net, dist = load_scenario_inputs(cfg)
     if ns.add_redundancy:
         targets = _parse_redundancy(ns.add_redundancy, net)

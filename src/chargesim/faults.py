@@ -30,19 +30,6 @@ STRANDED = "stranded"
 
 
 @dataclass(frozen=True)
-class FaultConfig:
-    p_f: float
-    n_masks: int = 100
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_f <= 1.0:
-            raise ValueError(f"fault probability out of [0, 1]: {self.p_f}")
-        if self.n_masks < 1:
-            raise ValueError("need at least one fault mask")
-
-
-@dataclass(frozen=True)
 class ReplayOutcome:
     status: str
     extra_time_h: float = 0.0

@@ -3,8 +3,8 @@
 A route is a sequence of charge stops between origin and destination. Legs
 are point-to-point at cruise speed; every leg must keep the state of charge
 at or above the reserve floor, and each stop charges up to the target level
-before departing. The planner searches stop sequences with a label-setting
-search ordered by departure time:
+before departing. The planner searches stop sequences with a goal-directed
+(A*) label search:
 
   * labels carry (departure time, stop count, stop-id sequence, charge)
     and a pointer to their parent; legs and stops are built for the
@@ -14,15 +14,23 @@ search ordered by departure time:
   * in reservation-aware mode the wait at a point comes from the ledger's
     earliest free slot; reservation-blind planning assumes zero wait and
     discovers the real queue only at commit time;
-  * a label whose departure already exceeds the best known arrival cannot
-    improve it (extra legs only add time), so it is cut;
+  * labels pop in order of f, the departure plus the straight-line drive
+    to the destination; the search stops once f exceeds the best known
+    arrival, and a label whose f exceeds it is not pushed (tested first
+    at arrival, which bounds f before the charge and the ledger probe);
   * a new label at a point is cut when a label kept there departs no
     later, with at least as much charge and a (stop count, stop ids) key
     no greater; kept labels that the new one dominates this way are
-    dropped.
+    dropped; a trip that pops over ``max_labels`` labels is unroutable.
 
 Ties on arrival break toward fewer stops, then the lexicographically
 smallest stop-id sequence, so plans are deterministic.
+
+The cut is exact (A*; Hart, Nilsson and Raphael, 1968): legs run at
+constant speed, waits and charges are never negative, and the haversine
+obeys the triangle inequality to about 1e-12 km, so f, taken with the
+distance less BOUND_SLACK_KM, stays strictly below the rounded arrival of
+every completion. A label that could win or tie never meets the strict cut.
 
 The dominance is exact. The ledger's earliest slot never decreases as the
 arrival time or the charge duration grows, the charge duration never
@@ -33,9 +41,10 @@ the same continuation keeps the order of the (stop count, stop ids) keys,
 so the tie-break survives too. A revisit of a point departs no earlier, with
 no more charge and more stops, than the first visit, so it is always
 dominated: labels need no visited set, and the search still returns the
-best simple path. This is the FIFO time-dependent shortest-path argument
-(Kaufman and Smith, 1993), as used for charging-stop search by Baum et
-al., "Shortest Feasible Paths with Charging Stops" (SIGSPATIAL 2015).
+best simple path; a cut label dominates only labels of no smaller f. This
+is the FIFO time-dependent shortest-path argument (Kaufman and Smith,
+1993), as used for charging-stop search by Baum et al., "Shortest Feasible
+Paths with Charging Stops" (SIGSPATIAL 2015).
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ from .reservations import Booking, ReservationLedger
 AWARE = "aware"
 BLIND = "blind"
 MODES = (AWARE, BLIND)
+BOUND_SLACK_KM = 1e-9  # the A* bound's margin for rounding; see above
 
 
 @dataclass(frozen=True)
@@ -67,12 +77,15 @@ class RouterConfig:
     mode: str = AWARE
     max_stops: int = 64
     prune: bool = True
+    max_labels: int = 100_000
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown router mode: {self.mode!r}")
         if self.max_stops < 1:
             raise ValueError("max_stops must be at least 1")
+        if self.max_labels < 1:
+            raise ValueError("max_labels must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -170,25 +183,30 @@ def plan_route(
             needed_charge=False,
         )
 
-    # label-setting search over labels (departure, stops, stop ids, charge,
-    # node); the heap order agrees with the final tie-break preference. A
-    # node is (parent node, charge point, leg km, arrival, slot start,
-    # charge in, charge out, departure, leg start), None at the origin, so
-    # legs and stops are built for the winning label only
-    heap = [(req.depart_h, 0, (), initial_soc, None)]
+    # A* over labels (f, departure, stops, stop ids, charge, node); after f
+    # the heap order agrees with the final tie-break preference. A node is
+    # (parent node, charge point, leg km, arrival, slot start, charge in,
+    # charge out, departure, leg start), None at the origin, so legs and
+    # stops are built for the winning label only
+    speed = ev.speed_kph
+    to_dest: dict[str, float] = {}  # point id -> km to the destination
+    heap = [(req.depart_h + (direct - BOUND_SLACK_KM) / speed, req.depart_h, 0, (), initial_soc, None)]
     pareto: dict[str, list[tuple[float, float, tuple[int, tuple[str, ...]]]]] = {}
     best = None
     best_arrival = float("inf")
     budget_hit = False
+    popped = 0
 
     while heap:
-        dep, n_stops, seq, soc, node = heapq.heappop(heap)
-        if cfg.prune and dep > best_arrival:
+        f, dep, n_stops, seq, soc, node = heapq.heappop(heap)
+        if cfg.prune and f > best_arrival:
             break
-        loc = req.origin if node is None else node[1].location
-        d_dest = distance_km(loc, req.destination)
+        popped += 1
+        if popped > cfg.max_labels:
+            return Unroutable(req.ev_id, f"label budget exhausted at {cfg.max_labels} labels", direct)
+        loc, d_dest = (req.origin, direct) if node is None else (node[1].location, to_dest[node[1].id])
         if d_dest <= span_km(soc):
-            arrival = dep + d_dest / ev.speed_kph
+            arrival = dep + d_dest / speed
             if best is None or (arrival, n_stops, seq) < best[:3]:
                 best = (arrival, n_stops, seq, node, loc, d_dest)
                 best_arrival = arrival
@@ -202,7 +220,13 @@ def plan_route(
         for d_leg, cp in net.within_radius(loc, span_km(soc)):
             if not cp.operational or cp.id in exclude:
                 continue
-            arr = dep + d_leg / ev.speed_kph
+            d_cp = to_dest.get(cp.id)
+            if d_cp is None:
+                d_cp = to_dest[cp.id] = distance_km(cp.location, req.destination)
+            h = (d_cp - BOUND_SLACK_KM) / speed
+            arr = dep + d_leg / speed
+            if cfg.prune and arr + h > best_arrival:
+                continue
             soc_in = soc - soc_drop(ev, d_leg)
             if soc_in >= ev.charge_target_soc:
                 # already above the charge target: stop adds nothing
@@ -220,6 +244,8 @@ def plan_route(
                     slot = arr
                 soc_out = ev.charge_target_soc
             ndep = slot + duration
+            if cfg.prune and ndep + h > best_arrival:
+                continue
             key = (n_stops + 1, seq + (cp.id,))
             entries = pareto.setdefault(cp.id, [])
             if any(d <= ndep and s >= soc_out and k <= key for d, s, k in entries):
@@ -229,7 +255,7 @@ def plan_route(
             entries.append((ndep, soc_out, key))
             heapq.heappush(
                 heap,
-                (ndep, key[0], key[1], soc_out,
+                (ndep + h, ndep, key[0], key[1], soc_out,
                  (node, cp, d_leg, arr, slot, soc_in, soc_out, ndep, loc)),
             )
 
@@ -242,11 +268,11 @@ def plan_route(
         return Unroutable(req.ev_id, reason, direct)
 
     arrival, _, _, node, loc, d_dest = best
-    legs = [Leg(loc, req.destination, d_dest, d_dest / ev.speed_kph)]
+    legs = [Leg(loc, req.destination, d_dest, d_dest / speed)]
     stops = []
     while node is not None:
         node, cp, d_leg, arr, slot, soc_in, soc_out, ndep, start = node
-        legs.append(Leg(start, cp.location, d_leg, d_leg / ev.speed_kph))
+        legs.append(Leg(start, cp.location, d_leg, d_leg / speed))
         stops.append(Stop(cp.id, arr, slot - arr, slot, ndep, soc_in, soc_out))
     return RoutePlan(
         ev_id=req.ev_id,

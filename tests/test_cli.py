@@ -228,6 +228,28 @@ def test_non_finite_sweep_and_threshold_keys_exit_2(fixture_dir, tmp_path, args,
     assert "not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("fault_masks=0", "fault_masks must be at least 1"),
+        ("fault_masks=-3", "fault_masks must be at least 1"),
+        ("pf_grid=1.5,-0.2", "pf_grid needs one or more probabilities in [0, 1]"),
+        ("pf_grid=", "pf_grid needs one or more probabilities in [0, 1]"),
+    ],
+    ids=["masks-zero", "masks-negative", "pf-out-of-range", "pf-empty"],
+)
+def test_faults_rejects_bad_sweep_options(fixture_dir, tmp_path, setting, message, capsys):
+    # the sweep's mask count and probabilities are checked once, on the
+    # config path, for the file and --set alike
+    rc = main(
+        ["faults", "-c", str(fixture_dir / "scenario.cfg"), "--out", str(tmp_path),
+         "--n-ev", "20", "--set", setting]
+    )
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "faults.csv").exists()
+
+
 def test_faults_subcommand(fixture_dir, tmp_path):
     out = tmp_path / "faults"
     rc = main(

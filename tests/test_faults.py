@@ -12,7 +12,6 @@ from chargesim.faults import (
     COMPLETED,
     REROUTED,
     STRANDED,
-    FaultConfig,
     estimate_ps_first_order,
     replay_trip,
     SweepRow,
@@ -185,13 +184,3 @@ def test_sweep_row_merge_sums_counts():
     assert (m.ci_low, m.ci_high) == wilson_interval(8, 650)
     with pytest.raises(ValueError, match="p_f"):
         a.merge(SweepRow(p_f=0.2, trips=1, needed_charge=0, stranded=0, unroutable=0))
-
-
-def test_fault_config_validation():
-    with pytest.raises(ValueError):
-        FaultConfig(p_f=-0.1)
-    with pytest.raises(ValueError):
-        FaultConfig(p_f=1.5)
-    with pytest.raises(ValueError):
-        FaultConfig(p_f=0.1, n_masks=0)
-    assert FaultConfig(p_f=0.1).n_masks == 100

@@ -271,6 +271,66 @@ def test_matches_exhaustive_enumeration_with_colocated_twins():
     assert routed > 50
 
 
+def test_goal_directed_search_matches_unpruned_on_wider_instances():
+    # up to twelve points, so the A* bound cuts labels and ends searches
+    # early; the unpruned search (no cut, no stop) is the reference, and
+    # tight stop budgets check that the unroutable reasons agree too
+    rng = np.random.default_rng(np.random.SeedSequence(97531))
+    routed = 0
+    for i in range(300):
+        req, net, led, cfg = random_router_instance(rng, max_points=12)
+        cfg = dataclasses.replace(cfg, max_stops=int(rng.choice([1, 2, 3, 64])))
+        kwargs = {}
+        if i % 2:
+            kwargs = dict(
+                initial_soc=float(rng.uniform(0.3, 1.0)),
+                reserve_floor=0.0,
+                exclude=frozenset(p.id for p in net.points if rng.random() < 0.2),
+                ignore_ev=10_000 + int(rng.integers(0, 100)),
+            )
+        plan = plan_route(req, net, led, cfg, **kwargs)
+        unpruned = plan_route(req, net, led, dataclasses.replace(cfg, prune=False), **kwargs)
+        assert plan == unpruned
+        routed += isinstance(plan, RoutePlan) and len(plan.stops) >= 2
+    assert routed > 50
+
+
+def test_collinear_tie_breaks_toward_smaller_stop_ids():
+    # on a straight corridor with equal chargers, every stop sequence with
+    # no wait charges exactly the energy driven beyond the first charge, so
+    # (b, d, c) and (a, d, c) arrive at the same instant; the A* stop must
+    # not end the search before the smaller ids are popped
+    anchor = GeoPoint(0.0, 30.0)
+    req = TripRequest(7, anchor, offset_km(anchor, 140.0, 0.0))
+    net = ChargeNetwork(
+        [
+            ChargePoint(cp_id, offset_km(anchor, east, 0.0), "DC", 50.0)
+            for cp_id, east in [("b", 20.0), ("a", 25.0), ("d", 75.0), ("c", 85.0)]
+        ]
+    )
+    led = ReservationLedger()
+    plan = plan_route(req, net, led, CFG)
+    assert [s.cp_id for s in plan.stops] == ["a", "d", "c"]
+    rival = plan_route(req, net, led, CFG, exclude=frozenset({"a"}))
+    assert [s.cp_id for s in rival.stops] == ["b", "d", "c"]
+    assert rival.arrival_h == plan.arrival_h
+    best = enumerate_best(req, net, led, CFG)
+    assert (plan.arrival_h, tuple(s.cp_id for s in plan.stops)) == (best[0], best[2])
+    unpruned = plan_route(req, net, led, dataclasses.replace(CFG, prune=False))
+    assert unpruned == plan
+
+
+def test_label_budget_reason():
+    req, net = corridor_fixture()
+    out = plan_route(req, net, ReservationLedger(), RouterConfig(ev=EV, max_labels=2))
+    assert isinstance(out, Unroutable)
+    assert out.reason == "label budget exhausted at 2 labels"
+    assert out.direct_km == pytest.approx(150.0, rel=1e-9)
+    # the corridor plan pops origin, s1 and s2 labels: three fit the budget
+    plan = plan_route(req, net, ReservationLedger(), RouterConfig(ev=EV, max_labels=3))
+    assert [s.cp_id for s in plan.stops] == ["s1", "s2"]
+
+
 def test_average_trip_speed_zero_guard():
     anchor = GeoPoint(0.0, 30.0)
     req = TripRequest(1, anchor, anchor)
@@ -284,3 +344,5 @@ def test_router_config_validation():
         RouterConfig(ev=EV, mode="psychic")
     with pytest.raises(ValueError):
         RouterConfig(ev=EV, max_stops=0)
+    with pytest.raises(ValueError):
+        RouterConfig(ev=EV, max_labels=0)
