@@ -162,13 +162,15 @@ def parse_pf_grid(text: str) -> tuple[float, ...]:
                 vals = np.linspace(start, stop, n)
             return tuple(float(v) for v in vals)
         vals = tuple(float(x) for x in s.split(",") if x.strip())
-        if not vals:
-            raise ValueError("empty grid")
-        if any(not 0.0 <= v <= 1.0 for v in vals):
-            raise ValueError("probabilities must lie in [0, 1]")
-        return vals
     except ValueError as exc:
         raise ConfigError(f"bad p_f grid {text!r}: {exc}") from exc
+    return _check_pf_grid(vals)
+
+
+def _check_pf_grid(vals: tuple[float, ...]) -> tuple[float, ...]:
+    if not vals or not all(0.0 <= p <= 1.0 for p in vals):
+        raise ConfigError(f"pf_grid needs one or more probabilities in [0, 1], got {vals}")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +323,7 @@ def cmd_faults(ns) -> int:
     opts = _resolve(ns)
     _require_sources(opts)
     cfg = scenario_from_options(opts)
-    pf_grid = parse_pf_grid(ns.pf_grid) if ns.pf_grid else tuple(opts["pf_grid"])
-    if not pf_grid or not all(0.0 <= p <= 1.0 for p in pf_grid):
-        raise ConfigError(f"pf_grid needs one or more probabilities in [0, 1], got {pf_grid}")
+    pf_grid = parse_pf_grid(ns.pf_grid) if ns.pf_grid else _check_pf_grid(tuple(opts["pf_grid"]))
     if opts["fault_masks"] < 1:
         raise ConfigError(f"fault_masks must be at least 1, got {opts['fault_masks']}")
     grid, net, dist = load_scenario_inputs(cfg)

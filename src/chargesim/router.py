@@ -21,7 +21,9 @@ before departing. The planner searches stop sequences with a goal-directed
   * a new label at a point is cut when a label kept there departs no
     later, with at least as much charge and a (stop count, stop ids) key
     no greater; kept labels that the new one dominates this way are
-    dropped; a trip that pops over ``max_labels`` labels is unroutable.
+    dropped; a trip that pops over MAX_LABELS labels before it finds an
+    arrival is unroutable (once an arrival is known, the A* stop bounds
+    the search).
 
 Ties on arrival break toward fewer stops, then the lexicographically
 smallest stop-id sequence, so plans are deterministic.
@@ -61,6 +63,7 @@ AWARE = "aware"
 BLIND = "blind"
 MODES = (AWARE, BLIND)
 BOUND_SLACK_KM = 1e-9  # the A* bound's margin for rounding; see above
+MAX_LABELS = 100_000  # labels a trip may pop before its first arrival
 
 
 @dataclass(frozen=True)
@@ -77,15 +80,12 @@ class RouterConfig:
     mode: str = AWARE
     max_stops: int = 64
     prune: bool = True
-    max_labels: int = 100_000
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown router mode: {self.mode!r}")
         if self.max_stops < 1:
             raise ValueError("max_stops must be at least 1")
-        if self.max_labels < 1:
-            raise ValueError("max_labels must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,8 @@ def plan_route(
         if cfg.prune and f > best_arrival:
             break
         popped += 1
-        if popped > cfg.max_labels:
-            return Unroutable(req.ev_id, f"label budget exhausted at {cfg.max_labels} labels", direct)
+        if best is None and popped > MAX_LABELS:
+            return Unroutable(req.ev_id, f"label budget exhausted at {MAX_LABELS} labels", direct)
         loc, d_dest = (req.origin, direct) if node is None else (node[1].location, to_dest[node[1].id])
         if d_dest <= span_km(soc):
             arrival = dep + d_dest / speed

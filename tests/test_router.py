@@ -5,6 +5,7 @@ import pytest
 
 from chargesim.ev import EvParams
 from chargesim.geo import GeoPoint, distance_km, offset_km
+from chargesim import router
 from chargesim.network import ChargeNetwork, ChargePoint, add_colocated_redundancy
 from chargesim.reservations import Booking, ReservationLedger, SlotConflict
 from chargesim.router import (
@@ -295,7 +296,7 @@ def test_goal_directed_search_matches_unpruned_on_wider_instances():
     assert routed > 50
 
 
-def test_collinear_tie_breaks_toward_smaller_stop_ids():
+def test_collinear_tie_breaks_toward_smaller_stop_ids(monkeypatch):
     # on a straight corridor with equal chargers, every stop sequence with
     # no wait charges exactly the energy driven beyond the first charge, so
     # (b, d, c) and (a, d, c) arrive at the same instant; the A* stop must
@@ -318,16 +319,22 @@ def test_collinear_tie_breaks_toward_smaller_stop_ids():
     assert (plan.arrival_h, tuple(s.cp_id for s in plan.stops)) == (best[0], best[2])
     unpruned = plan_route(req, net, led, dataclasses.replace(CFG, prune=False))
     assert unpruned == plan
+    # the sixth pop finds (a, d, c) and the seventh proves the tie; the
+    # budget bounds only the search for a first arrival, so six suffice
+    monkeypatch.setattr(router, "MAX_LABELS", 6)
+    assert plan_route(req, net, led, CFG) == plan
 
 
-def test_label_budget_reason():
+def test_label_budget_reason(monkeypatch):
     req, net = corridor_fixture()
-    out = plan_route(req, net, ReservationLedger(), RouterConfig(ev=EV, max_labels=2))
+    monkeypatch.setattr(router, "MAX_LABELS", 2)
+    out = plan_route(req, net, ReservationLedger(), CFG)
     assert isinstance(out, Unroutable)
     assert out.reason == "label budget exhausted at 2 labels"
     assert out.direct_km == pytest.approx(150.0, rel=1e-9)
     # the corridor plan pops origin, s1 and s2 labels: three fit the budget
-    plan = plan_route(req, net, ReservationLedger(), RouterConfig(ev=EV, max_labels=3))
+    monkeypatch.setattr(router, "MAX_LABELS", 3)
+    plan = plan_route(req, net, ReservationLedger(), CFG)
     assert [s.cp_id for s in plan.stops] == ["s1", "s2"]
 
 
@@ -344,5 +351,3 @@ def test_router_config_validation():
         RouterConfig(ev=EV, mode="psychic")
     with pytest.raises(ValueError):
         RouterConfig(ev=EV, max_stops=0)
-    with pytest.raises(ValueError):
-        RouterConfig(ev=EV, max_labels=0)
