@@ -26,10 +26,12 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    ISOLATED,
     SCHEMA,
     SEED_ENV_VAR,
     describe_schema,
     parse_config_file,
+    parse_value,
     resolve_options,
     scenario_from_options,
 )
@@ -56,7 +58,7 @@ from .geo import GeoPoint
 from .network import AC, DC, ChargeNetwork, ChargePoint, add_colocated_redundancy
 # unused here; perfbench's tracer wraps ledgers through cli.ReservationLedger
 from .reservations import ReservationLedger  # noqa: F401
-from .router import RouterConfig, RoutePlan, Unroutable, average_trip_speed
+from .router import RoutePlan, Unroutable, average_trip_speed
 from .triplength import default_trip_distribution
 
 
@@ -77,10 +79,11 @@ def _out_dir(ns) -> str:
     return d
 
 
-def _jsonable(v):
-    if isinstance(v, tuple):
-        return list(v)
-    return v
+def _options_record(opts: dict) -> dict:
+    """The options a run used, as JSON; unset keys are left out, so a config
+    file written from the record reruns the same command."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in sorted(opts.items()) if v is not None}
 
 
 def _write_manifest(out_dir: str, ns, opts: dict, outputs: list[str], t0: float) -> None:
@@ -89,7 +92,7 @@ def _write_manifest(out_dir: str, ns, opts: dict, outputs: list[str], t0: float)
         "version": __version__,
         "subcommand": ns.subcommand,
         "config_file": os.path.abspath(ns.config) if getattr(ns, "config", None) else None,
-        "options": {k: _jsonable(v) for k, v in sorted(opts.items())},
+        "options": _options_record(opts),
         "seed": opts.get("seed"),
         "outputs": sorted(os.path.basename(p) for p in outputs),
         "wall_clock_s": round(time.monotonic() - t0, 3),
@@ -99,17 +102,11 @@ def _write_manifest(out_dir: str, ns, opts: dict, outputs: list[str], t0: float)
 
 def _collect_overrides(ns) -> dict:
     """Flag values routed into the config schema; --set covers every key."""
-    overrides: dict = {}
-    for flag, key in getattr(ns, "_flag_keys", {}).items():
-        val = getattr(ns, flag, None)
-        if val is None:
-            continue
-        if isinstance(val, str) and SCHEMA[key][0] is not str:
-            try:
-                val = SCHEMA[key][0](val)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for --{flag.replace('_', '-')}: {exc}") from exc
-        overrides[key] = val
+    overrides = {
+        key: parse_value(key, getattr(ns, flag), f"bad value for --{flag.replace('_', '-')}")
+        for flag, key in getattr(ns, "_flag_keys", {}).items()
+        if getattr(ns, flag, None) is not None
+    }
     for item in getattr(ns, "set", None) or []:
         key, sep, raw = item.partition("=")
         key = key.strip()
@@ -117,60 +114,13 @@ def _collect_overrides(ns) -> dict:
             raise ConfigError(f"--set needs KEY=VALUE, got {item!r}")
         if key not in SCHEMA:
             raise ConfigError(f"--set: unknown key {key!r}")
-        try:
-            overrides[key] = SCHEMA[key][0](raw.strip())
-        except ValueError as exc:
-            raise ConfigError(f"--set {key}: {exc}") from exc
+        overrides[key] = parse_value(key, raw, f"--set {key}")
     return overrides
 
 
 def _resolve(ns) -> dict:
     file_values = parse_config_file(ns.config) if getattr(ns, "config", None) else {}
     return resolve_options(file_values, _collect_overrides(ns))
-
-
-def _require_sources(opts: dict) -> None:
-    for key in ("population_csv", "network_csv"):
-        if not opts[key]:
-            raise ConfigError(f"{key} is required (config file or --set {key}=PATH)")
-
-
-def parse_pf_grid(text: str) -> tuple[float, ...]:
-    """Comma list, or start:stop:n, start:stop:n:log, start:stop:log (n=8)."""
-    s = text.strip()
-    try:
-        if ":" in s:
-            parts = [p.strip() for p in s.split(":")]
-            log = parts[-1].lower() == "log"
-            if log:
-                parts = parts[:-1]
-            if len(parts) == 2:
-                start, stop, n = float(parts[0]), float(parts[1]), 8
-            elif len(parts) == 3:
-                start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
-            else:
-                raise ValueError("expected start:stop[:n][:log]")
-            if n < 2:
-                raise ValueError("grid needs at least 2 points")
-            if not 0.0 <= start < stop <= 1.0:
-                raise ValueError("need 0 <= start < stop <= 1")
-            if log:
-                if start <= 0.0:
-                    raise ValueError("log grid needs start > 0")
-                vals = np.geomspace(start, stop, n)
-            else:
-                vals = np.linspace(start, stop, n)
-            return tuple(float(v) for v in vals)
-        vals = tuple(float(x) for x in s.split(",") if x.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad p_f grid {text!r}: {exc}") from exc
-    return _check_pf_grid(vals)
-
-
-def _check_pf_grid(vals: tuple[float, ...]) -> tuple[float, ...]:
-    if not vals or not all(0.0 <= p <= 1.0 for p in vals):
-        raise ConfigError(f"pf_grid needs one or more probabilities in [0, 1], got {vals}")
-    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +191,6 @@ def _route_record(replicate: int, res: RoutePlan | Unroutable) -> dict:
 def cmd_simulate(ns) -> int:
     t0 = time.monotonic()
     opts = _resolve(ns)
-    _require_sources(opts)
     cfg = scenario_from_options(opts)
     sizes = list(opts["n_ev_grid"]) or [cfg.n_ev]
     dump = ns.dump_routes or ns.dump_ledger
@@ -281,7 +230,7 @@ def cmd_simulate(ns) -> int:
     summary = {
         "seed": opts["seed"],
         "mode": opts["mode"],
-        "options": {k: _jsonable(v) for k, v in sorted(opts.items())},
+        "options": _options_record(opts),
         "results": [_metrics_summary(m) for m in metrics],
     }
     summary_path = os.path.join(out, "summary.json")
@@ -302,38 +251,21 @@ def cmd_simulate(ns) -> int:
 # faults
 
 
-def _parse_redundancy(text: str, net: ChargeNetwork) -> list[str]:
-    s = text.strip()
-    if s.lower().startswith("isolated:"):
-        try:
-            radius = float(s.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad --add-redundancy radius in {text!r}") from exc
-        if radius <= 0:
-            raise ConfigError("--add-redundancy radius must be positive")
-        return [p.id for p in net.isolated_points(radius)]
-    ids = [x.strip() for x in s.split(",") if x.strip()]
-    if not ids:
-        raise ConfigError(f"--add-redundancy got no target ids in {text!r}")
-    return ids
-
-
 def cmd_faults(ns) -> int:
     t0 = time.monotonic()
     opts = _resolve(ns)
-    _require_sources(opts)
     cfg = scenario_from_options(opts)
-    pf_grid = parse_pf_grid(ns.pf_grid) if ns.pf_grid else _check_pf_grid(tuple(opts["pf_grid"]))
-    if opts["fault_masks"] < 1:
-        raise ConfigError(f"fault_masks must be at least 1, got {opts['fault_masks']}")
     grid, net, dist = load_scenario_inputs(cfg)
-    if ns.add_redundancy:
-        targets = _parse_redundancy(ns.add_redundancy, net)
+    spec = opts["add_redundancy"]
+    if spec:
+        if spec.startswith(ISOLATED):
+            targets = [p.id for p in net.isolated_points(float(spec[len(ISOLATED):]))]
+        else:
+            targets = spec.split(",")
         net = add_colocated_redundancy(net, targets)
         print(f"added {len(targets)} redundant points; network now {len(net)} points")
 
     rows = None
-    router_cfg = RouterConfig(ev=cfg.ev, mode=cfg.mode, max_stops=cfg.max_stops)
     for r, (_, results, ledger) in enumerate(run_replicates(cfg, grid, net, dist)):
         plans = [p for p in results if isinstance(p, RoutePlan)]
         n_unroutable = sum(1 for p in results if isinstance(p, Unroutable))
@@ -342,8 +274,8 @@ def cmd_faults(ns) -> int:
             n_unroutable,
             net,
             ledger,
-            router_cfg,
-            list(pf_grid),
+            cfg.router,
+            list(opts["pf_grid"]),
             opts["fault_masks"],
             seed=opts["fault_seed"] + r,
         )
@@ -376,13 +308,8 @@ def cmd_faults(ns) -> int:
 def cmd_capacity(ns) -> int:
     t0 = time.monotonic()
     opts = _resolve(ns)
-    _require_sources(opts)
     threshold = opts["capacity_threshold_kph"]
     target = opts["capacity_target_p"]
-    if not 0.0 < target <= 1.0:
-        raise ConfigError(f"capacity target probability out of (0, 1]: {target}")
-    if threshold <= 0.0:
-        raise ConfigError(f"capacity threshold must be positive: {threshold}")
     cfg = scenario_from_options(opts)
     grid, net, dist = load_scenario_inputs(cfg)
     result = capacity_search(cfg, threshold, target, grid=grid, net=net, dist=dist)
@@ -595,11 +522,11 @@ def _add_common(p: argparse.ArgumentParser, **extra_flag_keys: str) -> None:
         metavar="KEY=VALUE",
         help="override any config key; repeatable",
     )
-    p.add_argument("--n-ev", type=int, dest="n_ev", help="fleet size")
-    p.add_argument("--seed", type=int, help=f"root seed (default ${SEED_ENV_VAR} or 0)")
+    p.add_argument("--n-ev", dest="n_ev", help="fleet size")
+    p.add_argument("--seed", help=f"root seed (default ${SEED_ENV_VAR} or 0)")
     p.add_argument("--mode", help="aware | blind (reservation- prefix accepted)")
-    p.add_argument("--replicates", type=int, help="independent replicates")
-    p.add_argument("--threads", type=int, help="worker processes; 0 = all cores")
+    p.add_argument("--replicates", help="independent replicates")
+    p.add_argument("--threads", help="worker processes; 0 = all cores")
     p.set_defaults(_flag_keys=dict(BASE_FLAG_KEYS, **extra_flag_keys))
 
 
@@ -621,10 +548,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("faults", help="fault-injection sweep over p_f")
-    _add_common(p, masks="fault_masks", fault_seed="fault_seed", reserve="reserve_soc")
+    _add_common(
+        p, pf_grid="pf_grid", masks="fault_masks", fault_seed="fault_seed",
+        reserve="reserve_soc", add_redundancy="add_redundancy",
+    )
     p.add_argument("--pf-grid", help="comma list, or start:stop[:n][:log]")
-    p.add_argument("--masks", type=int, dest="masks", help="fault masks per p_f")
-    p.add_argument("--fault-seed", type=int, dest="fault_seed", help="mask stream seed")
+    p.add_argument("--masks", dest="masks", help="fault masks per p_f")
+    p.add_argument("--fault-seed", dest="fault_seed", help="mask stream seed")
     p.add_argument("--reserve", dest="reserve", help="reserve state of charge")
     p.add_argument(
         "--add-redundancy",

@@ -3,14 +3,19 @@
 One option per line, ``key = value``, with ``#`` comments and blank lines
 ignored. Command-line flags override file values, which override the
 defaults below. The same schema feeds every subcommand; keys a subcommand
-does not use are simply ignored by it.
+does not use are simply ignored by it. Every value, from a file, a flag,
+--set or the environment, is parsed by its key's parser and range-checked
+once, in resolve_options or by the type it builds, before any input file
+is read.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
+
+import numpy as np
 
 from .errors import ConfigError
 from .ev import EvParams
@@ -44,6 +49,53 @@ def _parse_ints(s: str) -> tuple[int, ...]:
     return tuple(int(x) for x in s.split(",") if x.strip())
 
 
+def parse_pf_grid(text: str) -> tuple[float, ...]:
+    """One or more probabilities in [0, 1]: a comma list, or start:stop:n,
+    start:stop:n:log or start:stop:log (n = 8)."""
+    try:
+        if ":" not in text:
+            vals = _parse_floats(text)
+        else:
+            parts = [p.strip() for p in text.split(":")]
+            log = parts[-1].lower() == "log"
+            if log:
+                parts.pop()
+            if len(parts) not in (2, 3):
+                raise ValueError("expected start:stop[:n][:log]")
+            start, stop = _parse_float(parts[0]), _parse_float(parts[1])
+            n = int(parts[2]) if len(parts) == 3 else 8
+            if n < 2:
+                raise ValueError("grid needs at least 2 points")
+            if not 0.0 <= start < stop <= 1.0:
+                raise ValueError("need 0 <= start < stop <= 1")
+            if log and start <= 0.0:
+                raise ValueError("log grid needs start > 0")
+            vals = tuple(float(v) for v in (np.geomspace if log else np.linspace)(start, stop, n))
+        if not vals or not all(0.0 <= p <= 1.0 for p in vals):
+            raise ValueError(f"pf_grid needs one or more probabilities in [0, 1], got {vals}")
+    except ValueError as exc:
+        raise ConfigError(f"bad p_f grid {text!r}: {exc}") from exc
+    return vals
+
+
+ISOLATED = "isolated:"
+
+
+def parse_redundancy(text: str) -> str:
+    """isolated:RADIUS_KM, or a comma list of charge point ids; returned in
+    one spelling, so a manifest records what the run used."""
+    s = text.strip()
+    if s.lower().startswith(ISOLATED):
+        radius = _parse_float(s[len(ISOLATED):])
+        if radius <= 0:
+            raise ValueError(f"isolation radius must be positive, got {radius:g}")
+        return f"{ISOLATED}{radius!r}"
+    ids = [x.strip() for x in s.split(",") if x.strip()]
+    if not ids:
+        raise ValueError(f"no target ids in {text!r}")
+    return ",".join(ids)
+
+
 # key -> (parser, default, description)
 SCHEMA: dict[str, tuple] = {
     "population_csv": (str, None, "path to lat,lon,population cell grid"),
@@ -64,9 +116,12 @@ SCHEMA: dict[str, tuple] = {
     "charge_target_soc": (_parse_float, 0.80, "charge-to level at each stop"),
     "route_scale": (_parse_float, 0.85, "straight-line range discount for road indirection"),
     "speed_thresholds_kph": (_parse_floats, (60.0, 40.0, 10.0), "below-speed fractions to report"),
-    "pf_grid": (_parse_floats, (0.01, 0.02, 0.05, 0.1, 0.2), "fault probabilities for the sweep"),
+    "pf_grid": (parse_pf_grid, (0.01, 0.02, 0.05, 0.1, 0.2),
+                "fault probabilities for the sweep: comma list, or start:stop[:n][:log]"),
     "fault_masks": (int, 100, "fault masks per p_f"),
     "fault_seed": (int, 0, "seed for fault mask draws"),
+    "add_redundancy": (parse_redundancy, None,
+                       "co-located twins before the sweep: isolated:RADIUS_KM or id,id,..."),
     "capacity_threshold_kph": (_parse_float, 40.0, "speed threshold for capacity search"),
     "capacity_target_p": (_parse_float, 1e-4, "tolerated below-threshold probability"),
 }
@@ -88,15 +143,22 @@ def parse_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}: line {lineno}: expected key = value")
             key, _, raw = s.partition("=")
             key = key.strip()
-            raw = raw.strip()
             if key not in SCHEMA:
                 raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-            parser = SCHEMA[key][0]
-            try:
-                out[key] = parser(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: line {lineno}: bad value for {key}: {exc}") from exc
+            out[key] = parse_value(key, raw, f"{path}: line {lineno}: bad value for {key}")
     return out
+
+
+def parse_value(key: str, raw: str, source: str):
+    """raw text parsed by key's parser; source prefixes the error message."""
+    try:
+        return SCHEMA[key][0](raw.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+
+
+# least value of each integer key that no library type checks
+INT_FLOORS = {"seed": 0, "fault_seed": 0, "threads": 0, "fault_masks": 1}
 
 
 def resolve_options(file_values: dict, overrides: dict) -> dict:
@@ -118,13 +180,22 @@ def resolve_options(file_values: dict, overrides: dict) -> dict:
     opts["mode"] = mode
     if mode not in MODES:
         raise ConfigError(f"unknown mode {opts['mode']!r}; expected one of {MODES}")
+    for key, low in INT_FLOORS.items():
+        if opts[key] < low:
+            raise ConfigError(f"{key} must be at least {low}, got {opts[key]}")
+    target, threshold = opts["capacity_target_p"], opts["capacity_threshold_kph"]
+    if not 0.0 < target <= 1.0:
+        raise ConfigError(f"capacity target probability out of (0, 1]: {target}")
+    if threshold <= 0.0:
+        raise ConfigError(f"capacity threshold must be positive: {threshold}")
     return opts
 
 
 def scenario_from_options(opts: dict) -> ScenarioConfig:
+    """The scenario, checked by its own types, with each n_ev_grid size."""
     try:
         ev = EvParams(**{f.name: opts[f.name] for f in fields(EvParams)})
-        return ScenarioConfig(
+        cfg = ScenarioConfig(
             n_ev=opts["n_ev"],
             seed=opts["seed"],
             replicates=opts["replicates"],
@@ -136,6 +207,9 @@ def scenario_from_options(opts: dict) -> ScenarioConfig:
             max_stops=opts["max_stops"],
             threads=opts["threads"],
         )
+        for n in opts["n_ev_grid"]:
+            replace(cfg, n_ev=n)
+        return cfg
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -15,10 +15,11 @@ import concurrent.futures
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .ev import EvParams
 from .network import ChargeNetwork, load_network_csv
 from .population import (
@@ -63,6 +64,11 @@ class ScenarioConfig:
             raise ValueError("n_ev must be at least 1")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        self.router  # built here, so a bad mode or stop budget fails at once
+
+    @cached_property
+    def router(self) -> RouterConfig:
+        return RouterConfig(ev=self.ev, mode=self.mode, max_stops=self.max_stops)
 
 
 @dataclass
@@ -165,7 +171,7 @@ def run_replicate(
     processing order. Returns the metrics, the per-trip outcomes in that
     order and the ledger of realized bookings."""
     trips = sample_trip_batch(grid, dist, cfg.seed, replicate, cfg.n_ev)
-    router_cfg = RouterConfig(ev=cfg.ev, mode=cfg.mode, max_stops=cfg.max_stops)
+    router_cfg = cfg.router
     ledger = ReservationLedger()
     m = ScenarioMetrics(n_ev=cfg.n_ev, thresholds=tuple(cfg.speed_thresholds_kph))
     results: list[RoutePlan | Unroutable] = []
@@ -214,33 +220,25 @@ def run_replicates(
 
 def load_scenario_inputs(
     cfg: ScenarioConfig,
-    grid: PopulationGrid | None = None,
-    net: ChargeNetwork | None = None,
-    dist: TripLengthDistribution | None = None,
 ) -> tuple[PopulationGrid, ChargeNetwork, TripLengthDistribution]:
-    if grid is None:
-        if cfg.population_csv is None:
-            raise DataError("scenario needs a population grid")
-        grid = load_population_csv(cfg.population_csv)
-    if net is None:
-        if cfg.network_csv is None:
-            raise DataError("scenario needs a charge network")
-        net = load_network_csv(cfg.network_csv)
-    if dist is None:
-        dist = default_trip_distribution()
-    return grid, net, dist
+    """The grid and network read from the scenario's CSVs, and the trip
+    length table: loaded once per command and passed on."""
+    for key in ("population_csv", "network_csv"):
+        if not getattr(cfg, key):
+            raise ConfigError(f"{key} is required (config file or --set {key}=PATH)")
+    grid, net = load_population_csv(cfg.population_csv), load_network_csv(cfg.network_csv)
+    return grid, net, default_trip_distribution()
 
 
 def run_scenario(
     cfg: ScenarioConfig,
     *,
-    grid: PopulationGrid | None = None,
-    net: ChargeNetwork | None = None,
-    dist: TripLengthDistribution | None = None,
+    grid: PopulationGrid,
+    net: ChargeNetwork,
+    dist: TripLengthDistribution,
 ) -> ScenarioMetrics:
     """All replicates of one scenario, merged. Deterministic for a given
     config: replicates use disjoint substreams and merge in order."""
-    grid, net, dist = load_scenario_inputs(cfg, grid, net, dist)
     total = ScenarioMetrics(n_ev=cfg.n_ev, thresholds=tuple(cfg.speed_thresholds_kph))
     for m, _, _ in run_replicates(cfg, grid, net, dist):
         total.merge(m)
@@ -252,11 +250,10 @@ def run_scenario_grid(
     cfg: ScenarioConfig,
     n_ev_grid: list[int],
     *,
-    grid: PopulationGrid | None = None,
-    net: ChargeNetwork | None = None,
-    dist: TripLengthDistribution | None = None,
+    grid: PopulationGrid,
+    net: ChargeNetwork,
+    dist: TripLengthDistribution,
 ) -> list[ScenarioMetrics]:
-    grid, net, dist = load_scenario_inputs(cfg, grid, net, dist)
     return [
         run_scenario(replace(cfg, n_ev=n), grid=grid, net=net, dist=dist)
         for n in n_ev_grid
@@ -289,9 +286,9 @@ def capacity_search(
     threshold_kph: float = 40.0,
     target_p: float = 1e-4,
     *,
-    grid: PopulationGrid | None = None,
-    net: ChargeNetwork | None = None,
-    dist: TripLengthDistribution | None = None,
+    grid: PopulationGrid,
+    net: ChargeNetwork,
+    dist: TripLengthDistribution,
 ) -> CapacityResult:
     """Largest fleet whose below-threshold fraction stays within target_p.
 
@@ -301,9 +298,6 @@ def capacity_search(
     coupling across fleet sizes keeps the pass/fail curve monotone up to
     Monte Carlo noise. cfg.n_ev is the search ceiling.
     """
-    if not 0.0 < target_p <= 1.0:
-        raise ValueError(f"target probability out of (0, 1]: {target_p}")
-    grid, net, dist = load_scenario_inputs(cfg, grid, net, dist)
     if threshold_kph not in cfg.speed_thresholds_kph:
         cfg = replace(
             cfg, speed_thresholds_kph=tuple(cfg.speed_thresholds_kph) + (threshold_kph,)

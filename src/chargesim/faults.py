@@ -139,8 +139,6 @@ def run_fault_sweep(
     between trips sharing a mask, so read it as a scale, not a guarantee.
     """
     grid = sorted(set(p_f_grid))
-    if not grid:
-        raise ValueError("empty p_f grid")
     charging = [p for p in plans if p.stops]
     n_charging_flagged = sum(1 for p in plans if p.needed_charge)
     stranded = {p_f: 0 for p_f in grid}

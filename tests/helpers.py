@@ -158,6 +158,35 @@ def random_router_instance(rng: np.random.Generator, max_points: int = 6):
     return req, net, ledger, cfg
 
 
+def random_corridor_instance(rng: np.random.Generator, max_points: int = 6):
+    """A random straight equatorial road with equal DC chargers on it.
+
+    With equal chargers and no queue, a sequence that charges at every stop
+    arrives at a time set by its last stop alone, so sequences that share a
+    last stop tie in exact arithmetic and agree to rounding in floats.
+    Twins at one position add exact ties between last stops, and positions
+    a micrometre to a hundred metres apart add near ties. Ids are shuffled
+    against positions, so the tie-break is not the order of travel.
+    """
+    anchor = GeoPoint(0.0, float(rng.uniform(-170.0, 170.0)))
+    trip_km = float(rng.uniform(80.0, 200.0))
+    n_cp = int(rng.integers(2, max_points + 1))
+    n_spread = int(rng.integers(1, n_cp + 1))
+    east = [
+        trip_km * (i + 1 + float(rng.uniform(-0.4, 0.4))) / (n_spread + 1)
+        for i in range(n_spread)
+    ]
+    while len(east) < n_cp:
+        near = east[int(rng.integers(len(east)))]
+        east.append(near if rng.random() < 0.5 else near + 10.0 ** float(rng.uniform(-9.0, -1.0)))
+    ids = [f"p{i}" for i in rng.permutation(n_cp)]
+    net = ChargeNetwork(
+        [ChargePoint(i, offset_km(anchor, e, 0.0), "DC", 50.0) for i, e in zip(ids, east)]
+    )
+    req = TripRequest(int(rng.integers(0, 1000)), anchor, offset_km(anchor, trip_km, 0.0))
+    return req, net
+
+
 # ---------------------------------------------------------------------------
 # ledger oracle: scan minute by minute
 

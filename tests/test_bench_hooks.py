@@ -5,12 +5,16 @@ modules, so renaming one, or calling around it, silently breaks a traced
 run. faults-sparse divides its replays by the time spent inside
 cli.run_fault_sweep, which cmd_faults must therefore call once per
 replicate, and the tracer wraps every ledger through the
-ReservationLedger names.
+ReservationLedger names. Its setup time loads a workload's inputs with
+experiment.load_scenario_inputs(cfg) alone, and it sizes pooled tasks from
+the grid, net and dist keywords of each run_scenario call.
 """
+
+import json
 
 import pytest
 
-from chargesim import cli, experiment, faults
+from chargesim import cli, config, experiment, faults
 
 HOOKS = [
     (cli, "load_scenario_inputs"),
@@ -31,13 +35,18 @@ def test_hook_exists(module, name):
     assert callable(getattr(module, name))
 
 
-def test_faults_calls_patched_sweep_and_ledger_per_replicate(tmp_path, monkeypatch):
-    fx = tmp_path / "fx"
+@pytest.fixture(scope="module")
+def fx(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fx")
     assert cli.main(
-        ["gen-fixtures", "--out", str(fx), "--seed", "2", "--width-km", "30",
+        ["gen-fixtures", "--out", str(d), "--seed", "2", "--width-km", "30",
          "--height-km", "20", "--population", "5000", "--n-dc", "3", "--n-ac", "3",
          "--blobs", "1"]
     ) == 0
+    return d
+
+
+def test_faults_calls_patched_sweep_and_ledger_per_replicate(fx, tmp_path, monkeypatch):
     calls = {"sweep": 0, "ledger": 0}
     real_sweep, real_ledger = cli.run_fault_sweep, experiment.ReservationLedger
 
@@ -57,3 +66,28 @@ def test_faults_calls_patched_sweep_and_ledger_per_replicate(tmp_path, monkeypat
          "--pf-grid", "0.5"]
     ) == 0
     assert calls == {"sweep": 2, "ledger": 2}
+
+
+def test_scenario_inputs_load_from_the_config_alone(fx):
+    opts = config.resolve_options(config.parse_config_file(str(fx / "scenario.cfg")), {})
+    grid, net, dist = experiment.load_scenario_inputs(config.scenario_from_options(opts))
+    assert len(grid) > 0 and len(net) == 6 and dist.mean_km() > 0
+
+
+def test_capacity_passes_inputs_to_run_scenario_once_per_probe(fx, tmp_path, monkeypatch):
+    calls = []
+    real = experiment.run_scenario
+
+    def run_scenario(cfg, **kwargs):
+        calls.append((cfg.n_ev, sorted(kwargs)))
+        return real(cfg, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_scenario", run_scenario)
+    out = tmp_path / "out"
+    assert cli.main(
+        ["capacity", "-c", str(fx / "scenario.cfg"), "--out", str(out), "--n-ev", "6",
+         "--threads", "1", "--target", "1.0"]
+    ) == 0
+    probes = json.loads((out / "capacity.json").read_text())["probes"]
+    assert len(probes) == 4  # a target of 1.0 passes 1, 2 and 4, then the ceiling
+    assert sorted(calls) == [(p["n_ev"], ["dist", "grid", "net"]) for p in probes]

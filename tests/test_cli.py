@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from chargesim.cli import main, parse_pf_grid
+from chargesim.cli import main
+from chargesim.config import SEED_ENV_VAR, parse_pf_grid
 from chargesim.errors import ConfigError
 from helpers import run_chargesim
 
@@ -248,6 +249,93 @@ def test_faults_rejects_bad_sweep_options(fixture_dir, tmp_path, setting, messag
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "faults.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "faults", "capacity"])
+def test_max_stops_below_one_is_a_config_error(fixture_dir, tmp_path, command, capsys):
+    # the router's stop budget is checked when the scenario is built
+    rc = main(
+        [command, "-c", str(fixture_dir / "scenario.cfg"), "--out", str(tmp_path),
+         "--n-ev", "5", "--set", "max_stops=0"]
+    )
+    assert rc == 2
+    assert "max_stops must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, env, message",
+    [
+        (["simulate", "--seed", "-1"], None, "seed must be at least 0"),
+        (["faults", "--fault-seed", "-1"], None, "fault_seed must be at least 0"),
+        (["simulate"], "-1", "seed must be at least 0"),
+        (["simulate", "--set", "n_ev_grid=0,5"], None, "n_ev must be at least 1"),
+        (["simulate", "--threads", "-3"], None, "threads must be at least 0"),
+    ],
+    ids=["seed", "fault-seed", "seed-env", "n-ev-grid", "threads"],
+)
+def test_rejects_bad_values_before_reading_inputs(
+    fixture_dir, tmp_path, monkeypatch, capsys, args, env, message
+):
+    # every value is range-checked once on the config path, whatever set
+    # it; the config names only the inputs, so the seed may come from the
+    # environment
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    if env is not None:
+        monkeypatch.setenv(SEED_ENV_VAR, env)
+    cfg = tmp_path / "inputs.cfg"
+    cfg.write_text(
+        f"population_csv = {fixture_dir / 'population.csv'}\n"
+        f"network_csv = {fixture_dir / 'network.csv'}\n"
+    )
+    rc = main(args + ["-c", str(cfg), "--out", str(tmp_path / "out"), "--n-ev", "5"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--target", "0", "capacity target probability out of (0, 1]"),
+        ("--target", "-0.5", "capacity target probability out of (0, 1]"),
+        ("--target", "1.5", "capacity target probability out of (0, 1]"),
+        ("--threshold", "0", "capacity threshold must be positive"),
+    ],
+    ids=["target-zero", "target-negative", "target-above-one", "threshold-zero"],
+)
+def test_capacity_rejects_bad_target_and_threshold(
+    fixture_dir, tmp_path, capsys, flag, value, message
+):
+    rc = main(
+        ["capacity", "-c", str(fixture_dir / "scenario.cfg"), "--out", str(tmp_path),
+         "--n-ev", "2", flag, value]
+    )
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_faults_manifest_reruns_byte_identical(fixture_dir, tmp_path):
+    # the manifest records the swept grid and the redundancy target, so a
+    # config file written from its options reruns the same sweep
+    first = tmp_path / "first"
+    assert main(
+        ["faults", "-c", str(fixture_dir / "scenario.cfg"), "--out", str(first),
+         "--n-ev", "15", "--masks", "3", "--set", "max_range_km=20",
+         "--pf-grid", "0.5,0.9", "--add-redundancy", "isolated:6"]
+    ) == 0
+    options = json.loads((first / "manifest.json").read_text())["options"]
+    assert options["pf_grid"] == [0.5, 0.9]
+    assert options["add_redundancy"] == "isolated:6.0"
+    cfg = tmp_path / "rerun.cfg"
+    cfg.write_text("".join(
+        f"{k} = {','.join(map(str, v)) if isinstance(v, list) else v}\n"
+        for k, v in options.items()
+    ))
+    second = tmp_path / "second"
+    assert main(["faults", "-c", str(cfg), "--out", str(second)]) == 0
+    assert (second / "faults.csv").read_bytes() == (first / "faults.csv").read_bytes()
+    assert json.loads((second / "manifest.json").read_text())["options"] == options
 
 
 def test_faults_subcommand(fixture_dir, tmp_path):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chargesim.errors import DataError
+from chargesim.errors import ConfigError
 from chargesim.experiment import (
     CapacityProbe,
     InfraCostModel,
@@ -93,8 +93,9 @@ def test_run_scenario_deterministic_and_consistent():
     grid = line_grid()
     net = line_net()
     cfg = ScenarioConfig(n_ev=40, seed=7, replicates=2)
-    m1 = run_scenario(cfg, grid=grid, net=net)
-    m2 = run_scenario(cfg, grid=grid, net=net)
+    dist = default_trip_distribution()
+    m1 = run_scenario(cfg, grid=grid, net=net, dist=dist)
+    m2 = run_scenario(cfg, grid=grid, net=net, dist=dist)
     assert m1 == m2
     assert m1.trips == 80
     assert m1.completed + m1.unroutable == m1.trips
@@ -108,9 +109,10 @@ def test_parallel_replicates_match_serial():
     grid = line_grid()
     net = line_net()
     cfg = ScenarioConfig(n_ev=25, seed=3, replicates=2, threads=1)
-    serial = run_scenario(cfg, grid=grid, net=net)
+    dist = default_trip_distribution()
+    serial = run_scenario(cfg, grid=grid, net=net, dist=dist)
     parallel = run_scenario(
-        dataclasses.replace(cfg, threads=2), grid=grid, net=net
+        dataclasses.replace(cfg, threads=2), grid=grid, net=net, dist=dist
     )
     assert serial == parallel
 
@@ -134,17 +136,18 @@ def test_run_scenario_grid_sizes():
     grid = line_grid()
     net = line_net()
     cfg = ScenarioConfig(n_ev=1, seed=21)
-    out = run_scenario_grid(cfg, [5, 10], grid=grid, net=net)
+    out = run_scenario_grid(cfg, [5, 10], grid=grid, net=net, dist=default_trip_distribution())
     assert [m.n_ev for m in out] == [5, 10]
     assert [m.trips for m in out] == [5, 10]
 
 
 def test_scenario_inputs_required():
+    # both paths are checked before either file is read
     cfg = ScenarioConfig(n_ev=1)
-    with pytest.raises(DataError, match="population"):
+    with pytest.raises(ConfigError, match="population_csv is required"):
         load_scenario_inputs(cfg)
-    with pytest.raises(DataError, match="network"):
-        load_scenario_inputs(cfg, grid=line_grid())
+    with pytest.raises(ConfigError, match="network_csv is required"):
+        load_scenario_inputs(dataclasses.replace(cfg, population_csv="never-read.csv"))
 
 
 def test_scenario_config_validation():
@@ -152,6 +155,11 @@ def test_scenario_config_validation():
         ScenarioConfig(n_ev=0)
     with pytest.raises(ValueError):
         ScenarioConfig(n_ev=1, replicates=0)
+    # the router settings are checked when the scenario is built
+    with pytest.raises(ValueError, match="max_stops"):
+        ScenarioConfig(n_ev=1, max_stops=0)
+    cfg = ScenarioConfig(n_ev=1, mode="blind", max_stops=3)
+    assert (cfg.router.ev, cfg.router.mode, cfg.router.max_stops) == (cfg.ev, "blind", 3)
 
 
 def test_metrics_zero_trip_guards_and_merge():
@@ -196,14 +204,6 @@ def test_capacity_search_on_saturating_fixture():
         cfg, threshold_kph=95.0, target_p=1e-4, grid=grid, net=net, dist=dist
     )
     assert not hopeless.found and hopeless.n_ev == 0
-
-
-def test_capacity_target_validation():
-    grid, net, dist = capacity_fixture()
-    cfg = ScenarioConfig(n_ev=2, seed=5)
-    for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            capacity_search(cfg, target_p=bad, grid=grid, net=net, dist=dist)
 
 
 def test_wilson_interval():

@@ -169,12 +169,6 @@ def test_sweep_monotone_in_fault_probability(net, planned):
     assert strandings[-1] > 0
 
 
-def test_sweep_empty_grid_rejected(net, planned):
-    plans, unroutable = planned
-    with pytest.raises(ValueError, match="empty"):
-        run_fault_sweep(plans, unroutable, net, ReservationLedger(), CFG, [], 5, 0)
-
-
 def test_sweep_row_merge_sums_counts():
     a = SweepRow(p_f=0.1, trips=400, needed_charge=30, stranded=3, unroutable=2)
     b = SweepRow(p_f=0.1, trips=250, needed_charge=21, stranded=5, unroutable=1)

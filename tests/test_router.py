@@ -20,7 +20,12 @@ from chargesim.router import (
     plan_route,
 )
 
-from helpers import corridor_fixture, enumerate_best, random_router_instance
+from helpers import (
+    corridor_fixture,
+    enumerate_best,
+    random_corridor_instance,
+    random_router_instance,
+)
 
 EV = EvParams()
 CFG = RouterConfig(ev=EV)
@@ -323,6 +328,28 @@ def test_collinear_tie_breaks_toward_smaller_stop_ids(monkeypatch):
     # budget bounds only the search for a first arrival, so six suffice
     monkeypatch.setattr(router, "MAX_LABELS", 6)
     assert plan_route(req, net, led, CFG) == plan
+
+
+def test_random_collinear_ties_match_enumeration_and_unpruned():
+    # on a straight road every sequence with the same last stop ties, so the
+    # search must go on popping labels whose bound equals the best arrival;
+    # a bound that overestimates ends it at the first arrival it finds,
+    # which the tie-break need not prefer
+    rng = np.random.default_rng(np.random.SeedSequence(86420))
+    multi = 0
+    for _ in range(300):
+        req, net = random_corridor_instance(rng)
+        cfg = dataclasses.replace(CFG, max_stops=int(rng.choice([2, 3, 64])))
+        led = ReservationLedger()
+        plan = plan_route(req, net, led, cfg)
+        assert plan == plan_route(req, net, led, dataclasses.replace(cfg, prune=False))
+        best = enumerate_best(req, net, led, cfg)
+        if isinstance(plan, Unroutable):
+            assert best is None
+            continue
+        assert (plan.arrival_h, tuple(s.cp_id for s in plan.stops)) == (best[0], best[2])
+        multi += len(plan.stops) >= 2
+    assert multi > 50
 
 
 def test_label_budget_reason(monkeypatch):
