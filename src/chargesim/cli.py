@@ -436,8 +436,6 @@ def cmd_validate(ns) -> int:
 
 def cmd_gen_fixtures(ns) -> int:
     t0 = time.monotonic()
-    out = _out_dir(ns)
-    anchor = GeoPoint(53.0, -8.0)
     w, h = ns.width_km, ns.height_km
     if not all(math.isfinite(x) for x in (w, h, ns.population)):
         raise ConfigError("fixture width, height and population must be finite")
@@ -449,7 +447,11 @@ def cmd_gen_fixtures(ns) -> int:
         raise ConfigError("--n-dc, --n-ac and --blobs must not be negative")
     if ns.n_ev < 1:
         raise ConfigError("--n-ev must be at least 1")
+    if ns.seed < 0:
+        raise ConfigError("--seed must not be negative")
 
+    out = _out_dir(ns)
+    anchor = GeoPoint(53.0, -8.0)
     blobs = None
     if ns.blobs > 0:
         rng = np.random.default_rng(np.random.SeedSequence(ns.seed, spawn_key=(1,)))

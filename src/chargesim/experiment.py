@@ -7,13 +7,25 @@ different sizes share a common prefix of trips, which makes capacity curves
 smooth in n_ev and congestion effects attributable to fleet size alone.
 Vehicles are planned and committed in a seeded uniformly random order
 (each trip carries a priority drawn from its own substream).
+
+Searches over fleet size (capacity_search, run_scenario_grid) sample each
+trip once per replicate: a TripStream per (seed, replicate) holds the
+trips drawn so far and extends on demand, and the fleet of n is its first n
+trips sorted by (priority, i), exactly sample_trip_batch's order. The
+replicates of one search run on one runner: in this process with one
+worker, otherwise in one process pool whose workers each receive the grid,
+network and trip length table once, through the pool's initializer, and
+keep their own streams; each task carries only (cfg, replicate).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import heapq
 import os
 from collections.abc import Iterator
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import AbstractContextManager, contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -138,39 +150,69 @@ def sample_trip(
     )
 
 
+def _trip_rng(seed: int, replicate: int, i: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate, i)))
+
+
 def sample_trip_batch(
     grid: PopulationGrid,
     dist: TripLengthDistribution,
     seed: int,
     replicate: int,
     n: int,
+    *,
+    start: int = 0,
 ) -> list[TripRequest]:
-    """n trips in processing order.
+    """Trips start to n-1 in processing order.
 
     Each trip draws from SeedSequence(seed, (replicate, i)) and carries a
     priority from the same substream; sorting by priority yields a uniform
     random processing order that interleaves consistently as n grows.
     """
     out = []
-    for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate, i)))
+    for i in range(start, n):
+        rng = _trip_rng(seed, replicate, i)
         priority = rng.random()
         out.append((priority, i, sample_trip(grid, dist, rng, ev_id=i)))
     out.sort(key=lambda t: (t[0], t[1]))
     return [req for _, _, req in out]
 
 
-def run_replicate(
-    cfg: ScenarioConfig,
-    replicate: int,
-    grid: PopulationGrid,
-    net: ChargeNetwork,
-    dist: TripLengthDistribution,
-) -> tuple[ScenarioMetrics, list[RoutePlan | Unroutable], ReservationLedger]:
-    """One replicate: sample, then plan, commit and measure each trip in
-    processing order. Returns the metrics, the per-trip outcomes in that
-    order and the ledger of realized bookings."""
-    trips = sample_trip_batch(grid, dist, cfg.seed, replicate, cfg.n_ev)
+class TripStream:
+    """The trips of one (seed, replicate), each sampled once and extended on
+    demand through sample_trip_batch. Merging a new batch into the trips
+    held draws each one's priority again, the first draw of its substream:
+    about 15 us a trip, where sampling one takes 300 to 430 us."""
+
+    def __init__(
+        self, grid: PopulationGrid, dist: TripLengthDistribution, seed: int, replicate: int
+    ) -> None:
+        self.grid, self.dist, self.seed, self.replicate = grid, dist, seed, replicate
+        self._trips: list[TripRequest] = []  # every trip drawn, in processing order
+
+    def _order(self, trip: TripRequest) -> tuple[float, int]:
+        return _trip_rng(self.seed, self.replicate, trip.ev_id).random(), trip.ev_id
+
+    def fleet(self, n: int) -> list[TripRequest]:
+        """sample_trip_batch(grid, dist, seed, replicate, n): trips 0 to n-1
+        in processing order."""
+        start = len(self._trips)
+        if n > start:
+            new = sample_trip_batch(
+                self.grid, self.dist, self.seed, self.replicate, n, start=start
+            )
+            self._trips = list(heapq.merge(self._trips, new, key=self._order)) if start else new
+        return [t for t in self._trips if t.ev_id < n]
+
+
+# one replicate's metrics, per-trip outcomes and ledger
+Replicate = tuple[ScenarioMetrics, list[RoutePlan | Unroutable], ReservationLedger]
+
+
+def _route_fleet(
+    cfg: ScenarioConfig, trips: list[TripRequest], net: ChargeNetwork
+) -> Replicate:
+    """Plan, commit and measure each trip in order on a fresh ledger."""
     router_cfg = cfg.router
     ledger = ReservationLedger()
     m = ScenarioMetrics(n_ev=cfg.n_ev, thresholds=tuple(cfg.speed_thresholds_kph))
@@ -195,27 +237,147 @@ def run_replicate(
     return m, results, ledger
 
 
+def run_replicate(
+    cfg: ScenarioConfig,
+    replicate: int,
+    grid: PopulationGrid,
+    net: ChargeNetwork,
+    dist: TripLengthDistribution,
+) -> Replicate:
+    """One replicate: sample, then plan, commit and measure each trip in
+    processing order. Returns the metrics, the per-trip outcomes in that
+    order and the ledger of realized bookings."""
+    trips = sample_trip_batch(grid, dist, cfg.seed, replicate, cfg.n_ev)
+    return _route_fleet(cfg, trips, net)
+
+
+class _Replicates:
+    """Replicates on one set of inputs, each drawing its trips from the
+    stream of its (seed, replicate)."""
+
+    def __init__(
+        self, grid: PopulationGrid, net: ChargeNetwork, dist: TripLengthDistribution
+    ) -> None:
+        self.grid, self.net, self.dist = grid, net, dist
+        self.streams: dict[tuple[int, int], TripStream] = {}
+
+    def run(self, cfg: ScenarioConfig, replicate: int) -> Replicate:
+        key = (cfg.seed, replicate)
+        if key not in self.streams:
+            self.streams[key] = TripStream(self.grid, self.dist, *key)
+        return _route_fleet(cfg, self.streams[key].fleet(cfg.n_ev), self.net)
+
+
+# a pool worker's inputs and trip streams, set once by its initializer
+_worker: _Replicates | None = None
+
+
+def _init_worker(
+    grid: PopulationGrid, net: ChargeNetwork, dist: TripLengthDistribution
+) -> None:
+    global _worker
+    _worker = _Replicates(grid, net, dist)
+
+
+def _run_in_worker(cfg: ScenarioConfig, replicate: int) -> Replicate:
+    return _worker.run(cfg, replicate)
+
+
+def _worker_count(cfg: ScenarioConfig) -> int:
+    threads = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
+    return min(threads, cfg.replicates)
+
+
+class _Runner:
+    """Runs replicates on one set of inputs: in this process with one
+    worker, otherwise in a pool whose workers each receive the inputs once,
+    through the initializer. The pool shuts down on exit."""
+
+    def __init__(
+        self,
+        cfg: ScenarioConfig,
+        grid: PopulationGrid,
+        net: ChargeNetwork,
+        dist: TripLengthDistribution,
+    ) -> None:
+        self.inputs = (grid, net, dist)
+        self.workers = _worker_count(cfg)
+        self.local = self.pool = None
+        if self.workers == 1:
+            self.local = _Replicates(grid, net, dist)
+        else:
+            self.pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_init_worker, initargs=self.inputs
+            )
+
+    def __enter__(self) -> "_Runner":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
+
+    def serves(self, cfg: ScenarioConfig, *inputs: object) -> bool:
+        same = all(a is b for a, b in zip(self.inputs, inputs))
+        return same and self.workers == _worker_count(cfg)
+
+    def replicates(self, cfg: ScenarioConfig) -> Iterator[Replicate]:
+        if self.local is not None:
+            for r in range(cfg.replicates):
+                yield self.local.run(cfg, r)
+        else:
+            futures = [self.pool.submit(_run_in_worker, cfg, r) for r in range(cfg.replicates)]
+            for f in futures:
+                yield f.result()
+
+
+# the runner shared by the run_replicates calls of one search or fleet grid
+_shared: ContextVar[_Runner | None] = ContextVar("shared_runner", default=None)
+
+
+def _runner(
+    cfg: ScenarioConfig,
+    grid: PopulationGrid,
+    net: ChargeNetwork,
+    dist: TripLengthDistribution,
+) -> AbstractContextManager[_Runner]:
+    """The shared runner if it serves these inputs (the same objects) and
+    worker count, else a new one for this call."""
+    shared = _shared.get()
+    if shared is not None and shared.serves(cfg, grid, net, dist):
+        return nullcontext(shared)
+    return _Runner(cfg, grid, net, dist)
+
+
+@contextmanager
+def _sharing_runner(
+    cfg: ScenarioConfig,
+    grid: PopulationGrid,
+    net: ChargeNetwork,
+    dist: TripLengthDistribution,
+) -> Iterator[None]:
+    """One runner, with its pool and trip streams, for every run_replicates
+    call inside on these inputs. Reentrant."""
+    with _runner(cfg, grid, net, dist) as runner:
+        token = _shared.set(runner)
+        try:
+            yield
+        finally:
+            _shared.reset(token)
+
+
 def run_replicates(
     cfg: ScenarioConfig,
     grid: PopulationGrid,
     net: ChargeNetwork,
     dist: TripLengthDistribution,
-) -> Iterator[tuple[ScenarioMetrics, list[RoutePlan | Unroutable], ReservationLedger]]:
-    """run_replicate for every replicate, yielded in replicate order. With
-    more than one worker and replicate they run in a process pool; the
-    outputs are the same either way, since replicates share no state."""
-    threads = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
-    if threads > 1 and cfg.replicates > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(run_replicate, cfg, r, grid, net, dist)
-                for r in range(cfg.replicates)
-            ]
-            for f in futures:
-                yield f.result()
-    else:
-        for r in range(cfg.replicates):
-            yield run_replicate(cfg, r, grid, net, dist)
+) -> Iterator[Replicate]:
+    """run_replicate's result for every replicate, yielded in replicate
+    order. With more than one worker and replicate they run in a process
+    pool; the outputs are the same either way, since replicates share no
+    state and every trip stream yields sample_trip_batch's trips."""
+    with _runner(cfg, grid, net, dist) as runner:
+        yield from runner.replicates(cfg)
 
 
 def load_scenario_inputs(
@@ -254,10 +416,11 @@ def run_scenario_grid(
     net: ChargeNetwork,
     dist: TripLengthDistribution,
 ) -> list[ScenarioMetrics]:
-    return [
-        run_scenario(replace(cfg, n_ev=n), grid=grid, net=net, dist=dist)
-        for n in n_ev_grid
-    ]
+    with _sharing_runner(cfg, grid, net, dist):
+        return [
+            run_scenario(replace(cfg, n_ev=n), grid=grid, net=net, dist=dist)
+            for n in n_ev_grid
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -325,29 +488,30 @@ def capacity_search(
             probes=tuple(probes[k] for k in sorted(probes)),
         )
 
-    if not passes(1):
-        return result(False, 0)
-    lo = 1
-    hi = None
-    n = 2
-    while n < ceiling:
-        if passes(n):
-            lo = n
-        else:
-            hi = n
-            break
-        n *= 2
-    if hi is None:
-        if passes(ceiling):
-            return result(True, ceiling)
-        hi = ceiling
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-    return result(True, lo)
+    with _sharing_runner(cfg, grid, net, dist):
+        if not passes(1):
+            return result(False, 0)
+        lo = 1
+        hi = None
+        n = 2
+        while n < ceiling:
+            if passes(n):
+                lo = n
+            else:
+                hi = n
+                break
+            n *= 2
+        if hi is None:
+            if passes(ceiling):
+                return result(True, ceiling)
+            hi = ceiling
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if passes(mid):
+                lo = mid
+            else:
+                hi = mid
+        return result(True, lo)
 
 
 # ---------------------------------------------------------------------------

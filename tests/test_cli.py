@@ -1,7 +1,9 @@
 import json
+import multiprocessing
 
 import pytest
 
+from chargesim import experiment
 from chargesim.cli import main
 from chargesim.config import SEED_ENV_VAR, parse_pf_grid
 from chargesim.errors import ConfigError
@@ -57,8 +59,11 @@ def test_gen_fixtures_validation(tmp_path):
         ("--n-ac", "-1"),
         ("--blobs", "-1"),
         ("--n-ev", "0"),
+        ("--seed", "-1"),
     ]:
-        assert main(["gen-fixtures", "--out", str(tmp_path), flag, value]) == 2, (flag, value)
+        out = tmp_path / "out"
+        assert main(["gen-fixtures", "--out", str(out), flag, value]) == 2, (flag, value)
+        assert not out.exists(), (flag, value)  # rejected before anything is written
 
 
 def test_simulate_round_trip(fixture_dir, tmp_path):
@@ -375,17 +380,70 @@ def test_pooled_replicates_match_serial(fixture_dir, tmp_path):
             ["faults", *common, "--out", str(d / "faults"), "--n-ev", "15",
              "--threads", threads, "--pf-grid", "0.2,0.6", "--masks", "3"]
         ) == 0
+        assert main(
+            ["capacity", *common, "--out", str(d / "capacity"), "--n-ev", "12",
+             "--threads", threads, "--threshold", "60", "--target", "0.7"]
+        ) == 0
+        assert main(
+            ["simulate", *common, "--out", str(d / "grid"), "--n-ev-grid", "5,10",
+             "--threads", threads]
+        ) == 0
         outs[threads] = {
             name: (d / sub / name).read_bytes()
             for sub, name in (("sim", "routes.jsonl"), ("sim", "ledger.csv"),
-                              ("faults", "faults.csv"))
+                              ("faults", "faults.csv"), ("capacity", "capacity.csv"),
+                              ("capacity", "capacity.json"), ("grid", "metrics.csv"))
         }
     assert outs["1"] == outs["2"]
+    probes = json.loads(outs["1"]["capacity.json"])["probes"]
+    assert [p["n_ev"] for p in probes] == [1, 2, 4, 8, 12]  # every probe shares one stream
     ledger_rows = outs["1"]["ledger.csv"].decode().splitlines()[1:]
     assert {row.split(",")[0] for row in ledger_rows} == {"0", "1", "2"}
     sweep = [row.split(",") for row in outs["1"]["faults.csv"].decode().splitlines()[1:]]
     assert [int(row[1]) for row in sweep] == [15 * 3 * 3] * 2  # n_ev * masks * replicates
     assert int(sweep[-1][3]) > 0
+
+
+def counting_pools(monkeypatch, **forced):
+    """Patch experiment's pool with a subclass that counts the pools built,
+    passing any forced keyword arguments on to each."""
+    built = []
+
+    class Counting(experiment.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **{**kwargs, **forced})
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", Counting)
+    return built
+
+
+@pytest.mark.parametrize("args", [
+    ["capacity", "--n-ev", "12", "--target", "0.9"],
+    ["simulate", "--n-ev-grid", "5,10"],
+], ids=["capacity", "simulate-grid"])
+def test_one_pool_per_command(fixture_dir, tmp_path, monkeypatch, args):
+    built = counting_pools(monkeypatch)
+    assert main(
+        [*args, "-c", str(fixture_dir / "scenario.cfg"), "--out", str(tmp_path / "out"),
+         "--replicates", "2", "--threads", "2"]
+    ) == 0
+    assert built == [2]
+
+
+def test_pool_workers_need_only_their_initializer(fixture_dir, tmp_path, monkeypatch):
+    # spawned workers inherit no module state, so the same outputs show that
+    # each worker gets its inputs from the initializer alone
+    common = ["capacity", "-c", str(fixture_dir / "scenario.cfg"), "--n-ev", "12",
+              "--replicates", "3", "--set", "max_range_km=20", "--threshold", "60",
+              "--target", "0.7"]
+    assert main([*common, "--out", str(tmp_path / "serial"), "--threads", "1"]) == 0
+    built = counting_pools(monkeypatch, mp_context=multiprocessing.get_context("spawn"))
+    assert main([*common, "--out", str(tmp_path / "spawned"), "--threads", "2"]) == 0
+    assert built == [2]
+    for name in ("capacity.csv", "capacity.json"):
+        spawned, serial = (tmp_path / d / name for d in ("spawned", "serial"))
+        assert spawned.read_bytes() == serial.read_bytes()
 
 
 def test_faults_redundancy_flag(fixture_dir, tmp_path, capsys):

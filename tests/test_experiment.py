@@ -3,12 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from chargesim import experiment
 from chargesim.errors import ConfigError
 from chargesim.experiment import (
     CapacityProbe,
     InfraCostModel,
     ScenarioConfig,
     ScenarioMetrics,
+    TripStream,
     capacity_search,
     cost_per_user_eur,
     load_scenario_inputs,
@@ -87,6 +89,44 @@ def test_batch_order_is_priority_shuffled_but_complete():
     batch = sample_trip_batch(grid, dist, seed=2, replicate=0, n=40)
     assert sorted(t.ev_id for t in batch) == list(range(40))
     assert [t.ev_id for t in batch] != list(range(40))
+
+
+def test_trip_stream_matches_batches_in_probe_order(monkeypatch):
+    # bisection probe order: doubling to 32, then down and up to 21
+    grid = line_grid()
+    dist = default_trip_distribution()
+    sampled = []
+    real = experiment.sample_trip_batch
+
+    def counting(*args, **kwargs):
+        batch = real(*args, **kwargs)
+        sampled.extend(t.ev_id for t in batch)
+        return batch
+
+    monkeypatch.setattr(experiment, "sample_trip_batch", counting)
+    stream = TripStream(grid, dist, seed=9, replicate=2)
+    for n in (1, 2, 4, 8, 16, 32, 24, 20, 22, 21):
+        assert stream.fleet(n) == real(grid, dist, 9, 2, n), n
+    assert sorted(sampled) == list(range(32))  # each trip index sampled exactly once
+
+
+def test_capacity_probes_match_fresh_replicates():
+    # each probe's counts equal those of replicates sampled from scratch,
+    # here through a search that doubles and then bisects
+    grid, net, dist = capacity_fixture()
+    cfg = ScenarioConfig(n_ev=32, seed=4, replicates=5, threads=1)
+    inputs = dict(grid=grid, net=net, dist=dist)
+    res = capacity_search(cfg, threshold_kph=60.0, target_p=0.9, **inputs)
+    assert [p.n_ev for p in res.probes] == [1, 2, 4, 5, 6, 8]  # probed as 1, 2, 4, 8, 6, 5
+    pooled = dataclasses.replace(cfg, threads=2)
+    assert capacity_search(pooled, threshold_kph=60.0, target_p=0.9, **inputs) == res
+    for probe in res.probes:
+        fresh = [
+            run_replicate(dataclasses.replace(cfg, n_ev=probe.n_ev), r, grid, net, dist)[0]
+            for r in range(cfg.replicates)
+        ]
+        assert probe.trials == sum(m.trips for m in fresh)
+        assert probe.failures == sum(m.below[60.0] for m in fresh)
 
 
 def test_run_scenario_deterministic_and_consistent():
