@@ -337,8 +337,13 @@ def cmd_capacity(ns) -> int:
             f"capacity {result.n_ev} vehicles "
             f"(below {threshold:g} kph with P <= {target:g}, ceiling {cfg.n_ev})"
         )
+    elif result.probes:
+        print(f"target {target:g} unreachable even at {result.probes[0].n_ev} vehicles")
     else:
-        print(f"target {target:g} unreachable even at 1 vehicle")
+        print(
+            f"target {target:g} unreachable: {cfg.n_ev} vehicles times "
+            f"{cfg.replicates} replicates are too few trials even with no failure"
+        )
     print(f"wrote {csv_path}")
     return 0
 

@@ -15,20 +15,21 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DataError
-from .geo import EARTH_RADIUS_KM, KM_PER_DEG_LAT, GeoPoint, offset_km
+from .geo import EARTH_RADIUS_KM, GeoPoint, offset_km
 
 CELL_KM = 1.0
 
 # ring half-width schedule, km: widen until candidates exist
 RING_HALF_WIDTHS = (0.5, 1.0, 2.0, 5.0)
 
-# slack on the candidate ball's chord radius on the unit sphere, relative
-# and absolute; far above the rounding of the haversine and the unit vectors
-_CHORD_REL_MARGIN = 1e-9
-_CHORD_ABS_MARGIN = 1e-9
+# side of the ring index's tiles, km
+TILE_KM = 10.0
+
+# slack on the tile test, km; covers the haversine's rounding near the
+# antipode (about 2e-4 km, see geo.distance_km) in each distance it compares
+_TILE_MARGIN_KM = 1e-3
 
 
 class RingEmpty(LookupError):
@@ -74,13 +75,12 @@ class PopulationGrid:
     def __getstate__(self) -> dict:
         # the ring index is rebuilt on first use rather than pickled
         state = self.__dict__.copy()
-        state.pop("_tree", None)
+        state.pop("_tiles", None)
         return state
 
     @cached_property
-    def _tree(self) -> cKDTree:
-        """k-d tree over the cell centres' unit vectors."""
-        return cKDTree(_unit_vectors(self._lat_rad, self._lon_rad))
+    def _tiles(self) -> _Tiles:
+        return _Tiles.build(self._lat_rad, self._lon_rad)
 
     def distances_from(self, p: GeoPoint, idx: np.ndarray | None = None) -> np.ndarray:
         """Haversine distance from a point to every cell centre, km, or to
@@ -90,31 +90,72 @@ class PopulationGrid:
         if idx is not None:
             lat_c, lon_c = lat_c[idx], lon_c[idx]
         lat = math.radians(p.lat_deg)
-        lon = math.radians(p.lon_deg)
-        s = (
-            np.sin((lat_c - lat) / 2.0) ** 2
-            + math.cos(lat) * np.cos(lat_c) * np.sin((lon_c - lon) / 2.0) ** 2
-        )
-        return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+        return _haversine_km(lat, math.cos(lat), math.radians(p.lon_deg), lat_c, lon_c)
 
-    def cells_within(self, p: GeoPoint, radius_km: float) -> np.ndarray:
+    def ring_candidates(self, p: GeoPoint, trip_km: float, half_width_km: float) -> np.ndarray:
         """Indices, ascending, of a superset of the cells whose centres lie
-        within radius_km of p (every cell once the radius reaches the
-        antipode)."""
-        angle = radius_km / EARTH_RADIUS_KM
-        # not (angle < pi) also sends nan to the full set
-        chord = 2.0 * math.sin(angle / 2.0) if angle < math.pi else 2.0
-        chord = chord * (1.0 + _CHORD_REL_MARGIN) + _CHORD_ABS_MARGIN
-        x = _unit_vectors(math.radians(p.lat_deg), math.radians(p.lon_deg))
-        hits = self._tree.query_ball_point(x, chord)
-        return np.sort(np.fromiter(hits, dtype=np.intp, count=len(hits)))
+        within half_width_km of the ring at trip_km from p: every cell of
+        each tile that can reach the ring."""
+        t = self._tiles
+        lat = math.radians(p.lat_deg)
+        d = _haversine_km(lat, math.cos(lat), math.radians(p.lon_deg), t.lat_rad, t.lon_rad)
+        reach = t.radius_km + _TILE_MARGIN_KM
+        keep = (d - reach <= trip_km + half_width_km) & (d + reach >= trip_km - half_width_km)
+        start, length = t.start[keep], t.length[keep]
+        # each kept tile's run of positions in t.order, end to end
+        ends = np.cumsum(length)
+        pos = np.arange(int(length.sum())) + np.repeat(start - (ends - length), length)
+        return np.sort(t.order[pos])
 
 
-def _unit_vectors(lat_rad, lon_rad) -> np.ndarray:
-    """(..., 3) unit vectors of points given in radians."""
-    cos_lat = np.cos(lat_rad)
-    xyz = (cos_lat * np.cos(lon_rad), cos_lat * np.sin(lon_rad), np.sin(lat_rad))
-    return np.stack(xyz, axis=-1)
+@dataclass(frozen=True)
+class _Tiles:
+    """The cells binned into tiles of about TILE_KM a side. order holds the
+    cell indices tile by tile, ascending within a tile; tile k is
+    order[start[k]:start[k] + length[k]], and every member lies within
+    radius_km[k] of the tile's centre (lat_rad[k], lon_rad[k]). The radius
+    is measured from the members, so a query misses no cell whatever the
+    binning."""
+
+    order: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    lat_rad: np.ndarray
+    lon_rad: np.ndarray
+    radius_km: np.ndarray
+
+    @classmethod
+    def build(cls, lat_rad: np.ndarray, lon_rad: np.ndarray) -> _Tiles:
+        # rows of TILE_KM in latitude, cut into columns of TILE_KM along
+        # the row's middle latitude
+        step = TILE_KM / EARTH_RADIUS_KM
+        row = np.floor(lat_rad / step)
+        row_lat = np.clip((row + 0.5) * step, -math.pi / 2.0, math.pi / 2.0)
+        col_step = step / np.maximum(np.cos(row_lat), 1e-6)
+        col = np.floor(lon_rad / col_step)
+        order = np.lexsort((col, row))  # stable: ascending index within a tile
+        row, col = row[order], col[order]
+        start = np.flatnonzero(np.r_[True, (np.diff(row) != 0) | (np.diff(col) != 0)])
+        length = np.diff(np.r_[start, len(order)])
+        first = order[start]
+        lat_t = row_lat[first]
+        lon_t = (col[start] + 0.5) * col_step[first]
+        # each member's distance to its tile's centre
+        centre_lat = np.repeat(lat_t, length)
+        d = _haversine_km(
+            centre_lat, np.cos(centre_lat), np.repeat(lon_t, length), lat_rad[order], lon_rad[order]
+        )
+        return cls(order, start, length, lat_t, lon_t, np.maximum.reduceat(d, start))
+
+
+def _haversine_km(lat, cos_lat, lon, lat_c, lon_c) -> np.ndarray:
+    """Haversine distance, km, from (lat, lon) to (lat_c, lon_c), all in
+    radians; cos_lat is cos(lat)."""
+    s = (
+        np.sin((lat_c - lat) / 2.0) ** 2
+        + cos_lat * np.cos(lat_c) * np.sin((lon_c - lon) / 2.0) ** 2
+    )
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 
 def load_population_csv(path) -> PopulationGrid:
@@ -183,16 +224,16 @@ def sample_destination(
     realistic grids. If even the widest ring is empty, raises RingEmpty and
     the caller draws a fresh trip length.
 
-    The rings are cut from the cells the grid's k-d tree finds inside the
-    widest ring's outer edge. Those stay in index order, so the weights,
-    their cumulative sum and the pick are the floats a scan of every cell
-    would give, and so are the draws.
+    Each ring is cut from the cells of the grid's tiles that can reach it
+    (PopulationGrid.ring_candidates). Those stay in index order, so the
+    weights, their cumulative sum and the pick are the floats a scan of
+    every cell would give, and so are the draws.
     """
     if trip_km < 0:
         raise DataError(f"negative trip length: {trip_km}")
-    cand = grid.cells_within(origin, trip_km + RING_HALF_WIDTHS[-1])
-    d = grid.distances_from(origin, cand)
     for w in RING_HALF_WIDTHS:
+        cand = grid.ring_candidates(origin, trip_km, w)
+        d = grid.distances_from(origin, cand)
         mask = np.abs(d - trip_km) <= w
         if not mask.any():
             continue

@@ -3,8 +3,8 @@
 The oracles recompute results by a different algorithm than the production
 code (exhaustive enumeration instead of label-setting search, lattice scan
 instead of sorted-gap walk, even-grid Simpson instead of the log-knot
-table, a haversine over every cell instead of the k-d tree's candidate
-ball), so agreement is evidence and not tautology. Fixture builders are
+table, a haversine over every cell instead of the tile index's candidate
+rings), so agreement is evidence and not tautology. Fixture builders are
 anchored at the equator where eastward kilometre offsets reproduce
 haversine distances to machine precision, which keeps hand-built
 geometry exact.

@@ -7,7 +7,9 @@ cli.run_fault_sweep, which cmd_faults must therefore call once per
 replicate, and the tracer wraps every ledger through the
 ReservationLedger names. Its setup time loads a workload's inputs with
 experiment.load_scenario_inputs(cfg) alone, and it sizes pooled tasks from
-the grid, net and dist keywords of each run_scenario call.
+the grid, net and dist keywords of each run_scenario call. Its ring-scan
+count patches distances_from on the loaded grid instance, which every
+destination draw must therefore call through the instance.
 """
 
 import json
@@ -91,3 +93,18 @@ def test_capacity_passes_inputs_to_run_scenario_once_per_probe(fx, tmp_path, mon
     probes = json.loads((out / "capacity.json").read_text())["probes"]
     assert len(probes) == 4  # a target of 1.0 passes 1, 2 and 4, then the ceiling
     assert sorted(calls) == [(p["n_ev"], ["dist", "grid", "net"]) for p in probes]
+
+
+def test_destination_sampling_calls_the_grid_instances_distances_from(fx):
+    opts = config.resolve_options(config.parse_config_file(str(fx / "scenario.cfg")), {})
+    grid, _, dist = experiment.load_scenario_inputs(config.scenario_from_options(opts))
+    calls = []
+    real = grid.distances_from
+
+    def distances_from(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    grid.distances_from = distances_from
+    trips = experiment.sample_trip_batch(grid, dist, 3, 0, 40)
+    assert len(trips) == 40 and len(calls) >= len(trips)

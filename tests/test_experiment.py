@@ -246,6 +246,31 @@ def test_capacity_search_on_saturating_fixture():
     assert not hopeless.found and hopeless.n_ev == 0
 
 
+def test_capacity_search_starts_at_the_least_passable_fleet():
+    # at 5 replicates 2 vehicles give 10 trials, too few to meet 0.25 even
+    # with no failure; 3 give 15, enough
+    assert wilson_upper(0, 10) > 0.25 >= wilson_upper(0, 15)
+    grid, net, dist = capacity_fixture()
+    cfg = ScenarioConfig(n_ev=8, seed=5, replicates=5, threads=1)
+    res = capacity_search(cfg, threshold_kph=30.0, target_p=0.25, grid=grid, net=net, dist=dist)
+    assert [p.n_ev for p in res.probes] == [3, 6, 7, 8]  # probed as 3, 6, 8, 7
+    assert [p.failures for p in res.probes] == [0, 0, 0, 5]
+    assert res.found and res.n_ev == 7
+
+
+def test_capacity_search_probes_nothing_below_its_least_passable_fleet(monkeypatch):
+    # 8 vehicles times 5 replicates are 40 trials; meeting 1e-4 takes 38,411
+    def run_scenario(*args, **kwargs):
+        raise AssertionError("probed a fleet that cannot pass")
+
+    monkeypatch.setattr(experiment, "run_scenario", run_scenario)
+    grid, net, dist = capacity_fixture()
+    cfg = ScenarioConfig(n_ev=8, seed=5, replicates=5, threads=1)
+    res = capacity_search(cfg, threshold_kph=60.0, target_p=1e-4, grid=grid, net=net, dist=dist)
+    assert not res.found and res.n_ev == 0 and res.probes == ()
+    assert wilson_upper(0, 38_410) > 1e-4 >= wilson_upper(0, 38_411)
+
+
 def test_wilson_interval():
     assert wilson_interval(0, 100)[0] == 0.0
     assert wilson_interval(100, 100)[1] == 1.0

@@ -242,7 +242,7 @@ def test_destination_matches_full_scan_oracle():
 
 
 def test_destination_matches_full_scan_across_the_antipode():
-    # rings whose outer edge passes the antipode take every cell
+    # rings whose outer edge passes the antipode, around the far cells
     anchor = GeoPoint(20.0, 30.0)
     far = GeoPoint(-20.0, -150.0)
     rng = np.random.default_rng(103)
@@ -254,7 +254,73 @@ def test_destination_matches_full_scan_across_the_antipode():
         seed = int(rng.integers(2**32))
         want = _draw(full_scan_sample_destination, grid, anchor, trip_km, seed)
         assert _draw(sample_destination, grid, anchor, trip_km, seed) == want
-    assert len(grid.cells_within(anchor, half)) == len(grid)
+    # the ring's candidates are the far cells, each once and in order
+    assert np.array_equal(grid.ring_candidates(anchor, half, 15.0), np.arange(50))
+
+
+def test_ring_candidates_cover_the_ring():
+    # a sorted, duplicate-free superset of the ring for every half-width,
+    # from points on, off and antipodal to the grid, out to rings whose
+    # outer edge passes the antipode
+    rng = np.random.default_rng(107)
+    half = math.pi * EARTH_RADIUS_KM
+    pruned = past_antipode = 0
+    for case in range(300):
+        grid, anchor, span = _random_grid(rng)
+        near = offset_km(grid.cells[int(rng.integers(len(grid)))].center,
+                         *rng.uniform(-0.5, 0.5, 2))
+        if case % 3 == 0:  # anywhere on the sphere
+            origin = GeoPoint(math.degrees(math.asin(rng.uniform(-1.0, 1.0))),
+                              rng.uniform(-180.0, 180.0))
+        elif case % 3 == 1:
+            origin = near
+        else:
+            origin = GeoPoint(-near.lat_deg, near.lon_deg + 180.0)
+        d = grid.distances_from(origin)
+        trips = [0.0, 2000.0, rng.uniform(0.0, 2.0 * span), half - rng.uniform(0.0, 5.0)]
+        for i in rng.integers(len(grid), size=3):
+            w = RING_HALF_WIDTHS[int(rng.integers(len(RING_HALF_WIDTHS)))]
+            trips += [_edge_trip(float(d[i]), w, 1), _edge_trip(float(d[i]), w, -1)]
+        for trip_km in trips:
+            for w in RING_HALF_WIDTHS:
+                cand = grid.ring_candidates(origin, trip_km, w)
+                assert np.all(np.diff(cand) > 0), (case, trip_km, w)
+                ring = np.flatnonzero(np.abs(d - trip_km) <= w)
+                assert np.isin(ring, cand).all(), (case, trip_km, w)
+                pruned += len(cand) < len(grid)
+                past_antipode += trip_km + w > half and len(ring) > 0
+    # the draws above did reach the cases they were built for
+    assert pruned > 1000 and past_antipode > 50
+
+
+def _unit(lat_rad, lon_rad):
+    return np.array([math.cos(lat_rad) * math.cos(lon_rad),
+                     math.cos(lat_rad) * math.sin(lon_rad), math.sin(lat_rad)])
+
+
+def test_ring_candidates_margin_covers_antipodal_rounding():
+    # a lone cell on a ring's edge, its tile's centre on the great circle
+    # from the origin through the cell, and the origin near the antipode of
+    # whichever of the two is farther: the tile's reach then meets the ring
+    # exactly, and only the margin covers the haversine's rounding (with no
+    # margin about one query in ten finds no candidate)
+    rng = np.random.default_rng(109)
+    for _ in range(200):
+        cell = GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0))
+        grid = PopulationGrid([Cell(cell, 1.0)])
+        tiles = grid._tiles
+        c = _unit(math.radians(cell.lat_deg), math.radians(cell.lon_deg))
+        t = _unit(tiles.lat_rad[0], tiles.lon_rad[0])
+        for far, near in ((c, t), (t, c)):
+            toward = near - near.dot(far) * far
+            angle = math.pi - rng.uniform(0.0, 2e-5)
+            x, y, z = far * math.cos(angle) + toward / np.linalg.norm(toward) * math.sin(angle)
+            origin = GeoPoint(math.degrees(math.asin(z)), math.degrees(math.atan2(y, x)))
+            d = float(grid.distances_from(origin)[0])
+            for w in RING_HALF_WIDTHS:
+                for side in (1, -1):
+                    trip_km = _edge_trip(d, w, side)
+                    assert list(grid.ring_candidates(origin, trip_km, w)) == [0]
 
 
 @pytest.mark.parametrize("n", list(range(34)) + [257, 999])
@@ -289,10 +355,10 @@ def test_grid_pickles_without_its_ring_index():
         ]
 
     before = trips(grid)
-    assert "_tree" in vars(grid)  # sampling built the index
+    assert "_tiles" in vars(grid)  # sampling built the index
     assert len(pickle.dumps(grid)) == size
     copy = pickle.loads(pickle.dumps(grid))
-    assert "_tree" not in vars(copy)
+    assert "_tiles" not in vars(copy)
     assert trips(copy) == before
 
 
