@@ -266,12 +266,11 @@ def cmd_faults(ns) -> int:
         print(f"added {len(targets)} redundant points; network now {len(net)} points")
 
     rows = None
-    for r, (_, results, ledger) in enumerate(run_replicates(cfg, grid, net, dist)):
+    for r, (m, results, ledger) in enumerate(run_replicates(cfg, grid, net, dist)):
         plans = [p for p in results if isinstance(p, RoutePlan)]
-        n_unroutable = sum(1 for p in results if isinstance(p, Unroutable))
         swept = run_fault_sweep(
             plans,
-            n_unroutable,
+            m.unroutable,
             net,
             ledger,
             cfg.router,

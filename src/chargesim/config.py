@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ConfigError
 from .ev import EvParams
 from .experiment import ScenarioConfig
-from .router import MODES
 
 SEED_ENV_VAR = "CHARGESIM_SEED"
 
@@ -106,7 +105,6 @@ SCHEMA: dict[str, tuple] = {
     "replicates": (int, 1, "independent replicates per scenario"),
     "mode": (str, "aware", "reservation mode: aware | blind"),
     "threads": (int, 0, "worker processes for replicates; 0 = all cores"),
-    "max_stops": (int, 64, "stop budget per journey"),
     "battery_kwh": (_parse_float, 24.0, "usable battery energy"),
     "speed_kph": (_parse_float, 90.0, "cruise speed"),
     "max_range_km": (_parse_float, 110.0, "rated range on a full battery"),
@@ -178,8 +176,6 @@ def resolve_options(file_values: dict, overrides: dict) -> dict:
     if mode.startswith("reservation-"):
         mode = mode[len("reservation-"):]
     opts["mode"] = mode
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {opts['mode']!r}; expected one of {MODES}")
     for key, low in INT_FLOORS.items():
         if opts[key] < low:
             raise ConfigError(f"{key} must be at least {low}, got {opts[key]}")
@@ -204,7 +200,6 @@ def scenario_from_options(opts: dict) -> ScenarioConfig:
             population_csv=opts["population_csv"],
             network_csv=opts["network_csv"],
             speed_thresholds_kph=tuple(opts["speed_thresholds_kph"]),
-            max_stops=opts["max_stops"],
             threads=opts["threads"],
         )
         for n in opts["n_ev_grid"]:

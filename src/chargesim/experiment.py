@@ -69,7 +69,6 @@ class ScenarioConfig:
     population_csv: str | None = None
     network_csv: str | None = None
     speed_thresholds_kph: tuple[float, ...] = DEFAULT_SPEED_THRESHOLDS
-    max_stops: int = 64
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -77,11 +76,11 @@ class ScenarioConfig:
             raise ValueError("n_ev must be at least 1")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
-        self.router  # built here, so a bad mode or stop budget fails at once
+        self.router  # built here, so a bad mode fails at once
 
     @cached_property
     def router(self) -> RouterConfig:
-        return RouterConfig(ev=self.ev, mode=self.mode, max_stops=self.max_stops)
+        return RouterConfig(ev=self.ev, mode=self.mode)
 
 
 @dataclass

@@ -7,14 +7,13 @@ band never excludes a true match.
 
 Queries centred on a charge-point location, which is where the router
 expands every label after its first stop, are memoized per location: the
-network keeps the widest scan made there so far, as its radius, its sorted
-distances and its hits. A query at or inside that radius is a prefix of the
-hits, cut with a bisection on the distances; a wider one scans afresh and
-replaces the memo. Both give the same list as a fresh scan, because the
-band prefilter is exact and hits are sorted by (distance, id). Only the
-widest scan per location is kept, so the memo holds at most one hit list
-per location and stays empty until the first query. Other centres, such
-as trip origins, always scan.
+network keeps the widest scan made there so far, as its radius and its
+hits. A query at or inside that radius is a prefix of the hits, cut with a
+bisection on the hits' distances; a wider one scans afresh and replaces the
+memo. Both give the same list as a fresh scan, because the band prefilter
+is exact and hits are sorted by (distance, id). Only the widest scan per
+location is kept, so the memo holds one hit list per location, empty until
+the first query. Other centres, such as trip origins, always scan.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import bisect
 import csv
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from .errors import DataError
 from .ev import AC, DC
@@ -31,7 +31,7 @@ from .geo import KM_PER_DEG_LAT, GeoPoint, distance_km
 KINDS = (DC, AC)
 
 # memo entry of a location not queried yet: any radius is wider
-_UNSCANNED: tuple[float, list[float], list] = (-1.0, [], [])
+_UNSCANNED: tuple[float, list] = (-1.0, [])
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ class ChargeNetwork:
         # latitude-sorted view for radius queries
         self._sorted = sorted(self.points, key=lambda p: p.location.lat_deg)
         self._lats = [p.location.lat_deg for p in self._sorted]
-        # charge-point location -> widest scan there: (radius, distances, hits)
-        self._memo: dict[GeoPoint, tuple[float, list[float], list[tuple[float, ChargePoint]]]] = {
+        # charge-point location -> widest scan there: (radius, hits)
+        self._memo: dict[GeoPoint, tuple[float, list[tuple[float, ChargePoint]]]] = {
             p.location: _UNSCANNED for p in self.points
         }
 
@@ -86,8 +86,8 @@ class ChargeNetwork:
             return self._scan(center, radius_km)
         if radius_km > memo[0]:
             hits = self._scan(center, radius_km)
-            memo = self._memo[center] = (radius_km, [d for d, _ in hits], hits)
-        return memo[2][: bisect.bisect_right(memo[1], radius_km)]
+            memo = self._memo[center] = (radius_km, hits)
+        return memo[1][: bisect.bisect_right(memo[1], radius_km, key=itemgetter(0))]
 
     def _scan(self, center: GeoPoint, radius_km: float) -> list[tuple[float, ChargePoint]]:
         band = radius_km / KM_PER_DEG_LAT + 1e-9

@@ -6,9 +6,11 @@ at or above the reserve floor, and each stop charges up to the target level
 before departing. The planner searches stop sequences with a goal-directed
 (A*) label search:
 
-  * labels carry (departure time, stop count, stop-id sequence, charge)
-    and a pointer to their parent; legs and stops are built for the
-    winning label only;
+  * a label is one tuple: its bound, departure, stop count, stop-id
+    sequence, charge, location and distance to the destination, then its
+    parent label and the stop that made it (leg km, arrival, slot start,
+    arrival charge); legs and stops are read off the winning label's
+    parent chain;
   * a label extends to every operational charge point reachable on its
     charge;
   * in reservation-aware mode the wait at a point comes from the ledger's
@@ -21,9 +23,10 @@ before departing. The planner searches stop sequences with a goal-directed
   * a new label at a point is cut when a label kept there departs no
     later, with at least as much charge and a (stop count, stop ids) key
     no greater; kept labels that the new one dominates this way are
-    dropped; a trip that pops over MAX_LABELS labels before it finds an
-    arrival is unroutable (once an arrival is known, the A* stop bounds
-    the search).
+    dropped;
+  * a trip that pops over MAX_LABELS labels before it finds an arrival is
+    unroutable; once an arrival is known, the A* stop bounds the search,
+    so every search ends in bounded time.
 
 Ties on arrival break toward fewer stops, then the lexicographically
 smallest stop-id sequence, so plans are deterministic.
@@ -78,14 +81,11 @@ class TripRequest:
 class RouterConfig:
     ev: EvParams
     mode: str = AWARE
-    max_stops: int = 64
     prune: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ValueError(f"unknown router mode: {self.mode!r}")
-        if self.max_stops < 1:
-            raise ValueError("max_stops must be at least 1")
+            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
 
 
 @dataclass(frozen=True)
@@ -183,39 +183,36 @@ def plan_route(
             needed_charge=False,
         )
 
-    # A* over labels (f, departure, stops, stop ids, charge, node); after f
-    # the heap order agrees with the final tie-break preference. A node is
-    # (parent node, charge point, leg km, arrival, slot start, charge in,
-    # charge out, departure, leg start), None at the origin, so legs and
-    # stops are built for the winning label only
+    # A* over labels (f, dep, n_stops, seq, soc, loc, d_dest, parent, d_leg,
+    # arr, slot, soc_in); after f the heap order agrees with the final
+    # tie-break preference. A label is pushed once per stop-id sequence, so
+    # heap comparison ends at seq and never reaches loc or parent, which
+    # cannot be ordered
     speed = ev.speed_kph
     to_dest: dict[str, float] = {}  # point id -> km to the destination
-    heap = [(req.depart_h + (direct - BOUND_SLACK_KM) / speed, req.depart_h, 0, (), initial_soc, None)]
-    pareto: dict[str, list[tuple[float, float, tuple[int, tuple[str, ...]]]]] = {}
-    best = None
+    heap = [(req.depart_h + (direct - BOUND_SLACK_KM) / speed, req.depart_h, 0, (), initial_soc,
+             req.origin, direct, None, None, None, None, None)]
+    pareto: dict[str, list[tuple]] = {}  # point id -> labels kept there
+    best = None  # (arrival, label)
     best_arrival = float("inf")
-    budget_hit = False
     popped = 0
 
     while heap:
-        f, dep, n_stops, seq, soc, node = heapq.heappop(heap)
+        label = heapq.heappop(heap)
+        f, dep, n_stops, seq, soc, loc, d_dest = label[:7]
         if cfg.prune and f > best_arrival:
             break
         popped += 1
         if best is None and popped > MAX_LABELS:
             return Unroutable(req.ev_id, f"label budget exhausted at {MAX_LABELS} labels", direct)
-        loc, d_dest = (req.origin, direct) if node is None else (node[1].location, to_dest[node[1].id])
         if d_dest <= span_km(soc):
             arrival = dep + d_dest / speed
-            if best is None or (arrival, n_stops, seq) < best[:3]:
-                best = (arrival, n_stops, seq, node, loc, d_dest)
+            if best is None or (arrival, n_stops, seq) < (best_arrival, *best[1][2:4]):
+                best = (arrival, label)
                 best_arrival = arrival
             # extending a completed label cannot beat its own arrival:
             # charge time is non-negative and legs obey the triangle
             # inequality, so skip the extensions
-            continue
-        if n_stops >= cfg.max_stops:
-            budget_hit = True
             continue
         for d_leg, cp in net.within_radius(loc, span_km(soc)):
             if not cp.operational or cp.id in exclude:
@@ -246,34 +243,32 @@ def plan_route(
             ndep = slot + duration
             if cfg.prune and ndep + h > best_arrival:
                 continue
-            key = (n_stops + 1, seq + (cp.id,))
-            entries = pareto.setdefault(cp.id, [])
-            if any(d <= ndep and s >= soc_out and k <= key for d, s, k in entries):
+            n, nseq = n_stops + 1, seq + (cp.id,)
+            kept = pareto.setdefault(cp.id, [])
+            # keys (n_stops, seq) compare field by field: slicing k[2:4]
+            # would build a tuple per test, and this is the hottest loop
+            if any(k[1] <= ndep and k[4] >= soc_out and (k[2] < n or k[2] == n and k[3] <= nseq)
+                   for k in kept):
                 continue
-            entries[:] = [(d, s, k) for d, s, k in entries
-                          if not (ndep <= d and soc_out >= s and key <= k)]
-            entries.append((ndep, soc_out, key))
-            heapq.heappush(
-                heap,
-                (ndep + h, ndep, key[0], key[1], soc_out,
-                 (node, cp, d_leg, arr, slot, soc_in, soc_out, ndep, loc)),
-            )
+            kept[:] = [k for k in kept if not (ndep <= k[1] and soc_out >= k[4]
+                                               and (n < k[2] or n == k[2] and nseq <= k[3]))]
+            new = (ndep + h, ndep, n, nseq, soc_out, cp.location, d_cp,
+                   label, d_leg, arr, slot, soc_in)
+            kept.append(new)
+            heapq.heappush(heap, new)
 
     if best is None:
-        reason = (
-            f"stop budget exhausted at {cfg.max_stops} stops"
-            if budget_hit
-            else "no operational charge-point sequence reaches the destination"
-        )
+        reason = "no operational charge-point sequence reaches the destination"
         return Unroutable(req.ev_id, reason, direct)
 
-    arrival, _, _, node, loc, d_dest = best
-    legs = [Leg(loc, req.destination, d_dest, d_dest / speed)]
+    arrival, label = best
+    legs = [Leg(label[5], req.destination, label[6], label[6] / speed)]
     stops = []
-    while node is not None:
-        node, cp, d_leg, arr, slot, soc_in, soc_out, ndep, start = node
-        legs.append(Leg(start, cp.location, d_leg, d_leg / speed))
-        stops.append(Stop(cp.id, arr, slot - arr, slot, ndep, soc_in, soc_out))
+    while label[7] is not None:
+        _, dep, _, seq, soc, loc, _, parent, d_leg, arr, slot, soc_in = label
+        legs.append(Leg(parent[5], loc, d_leg, d_leg / speed))
+        stops.append(Stop(seq[-1], arr, slot - arr, slot, dep, soc_in, soc))
+        label = parent
     return RoutePlan(
         ev_id=req.ev_id,
         depart_h=req.depart_h,

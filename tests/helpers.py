@@ -84,8 +84,6 @@ def enumerate_best(
             cand = (dep + d / ev.speed_kph, len(seq), seq)
             if best is None or cand < best:
                 best = cand
-        if len(seq) >= cfg.max_stops:
-            return
         for p in usable:
             if p.id in seq:
                 continue

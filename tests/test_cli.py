@@ -257,14 +257,17 @@ def test_faults_rejects_bad_sweep_options(fixture_dir, tmp_path, setting, messag
 
 
 @pytest.mark.parametrize("command", ["simulate", "faults", "capacity"])
-def test_max_stops_below_one_is_a_config_error(fixture_dir, tmp_path, command, capsys):
-    # the router's stop budget is checked when the scenario is built
+def test_unknown_mode_is_a_config_error(fixture_dir, tmp_path, command, capsys):
+    # the router checks the mode when the scenario is built, before any
+    # output is written
+    out = tmp_path / "out"
     rc = main(
-        [command, "-c", str(fixture_dir / "scenario.cfg"), "--out", str(tmp_path),
-         "--n-ev", "5", "--set", "max_stops=0"]
+        [command, "-c", str(fixture_dir / "scenario.cfg"), "--out", str(out),
+         "--n-ev", "5", "--mode", "psychic"]
     )
     assert rc == 2
-    assert "max_stops must be at least 1" in capsys.readouterr().err
+    assert "unknown mode" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -73,7 +73,7 @@ def test_mode_long_forms():
     assert resolve_options({}, {"mode": "reservation-blind"})["mode"] == "blind"
     assert resolve_options({}, {"mode": "Reservation-Aware"})["mode"] == "aware"
     with pytest.raises(ConfigError, match="unknown mode"):
-        resolve_options({}, {"mode": "clairvoyant"})
+        scenario_from_options(resolve_options({}, {"mode": "clairvoyant"}))
 
 
 def test_scenario_from_options():

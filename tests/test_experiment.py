@@ -196,10 +196,10 @@ def test_scenario_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(n_ev=1, replicates=0)
     # the router settings are checked when the scenario is built
-    with pytest.raises(ValueError, match="max_stops"):
-        ScenarioConfig(n_ev=1, max_stops=0)
-    cfg = ScenarioConfig(n_ev=1, mode="blind", max_stops=3)
-    assert (cfg.router.ev, cfg.router.mode, cfg.router.max_stops) == (cfg.ev, "blind", 3)
+    with pytest.raises(ValueError, match="unknown mode"):
+        ScenarioConfig(n_ev=1, mode="psychic")
+    cfg = ScenarioConfig(n_ev=1, mode="blind")
+    assert (cfg.router.ev, cfg.router.mode) == (cfg.ev, "blind")
 
 
 def test_metrics_zero_trip_guards_and_merge():

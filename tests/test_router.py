@@ -175,14 +175,6 @@ def test_initial_soc_and_reserve_floor():
     assert isinstance(plan_route(req2, net2, led, CFG, initial_soc=0.5), Unroutable)
 
 
-def test_stop_budget_reason():
-    req, net = corridor_fixture()
-    tight = RouterConfig(ev=EV, max_stops=1)
-    out = plan_route(req, net, ReservationLedger(), tight)
-    assert isinstance(out, Unroutable)
-    assert "stop budget exhausted at 1 stops" in out.reason
-
-
 def test_tie_breaks_toward_smaller_stop_id():
     # mirrored stops give identical arrivals; both legs stay inside the
     # 74.8 / 56.1 km spans so the trip is routable through either stop
@@ -279,13 +271,11 @@ def test_matches_exhaustive_enumeration_with_colocated_twins():
 
 def test_goal_directed_search_matches_unpruned_on_wider_instances():
     # up to twelve points, so the A* bound cuts labels and ends searches
-    # early; the unpruned search (no cut, no stop) is the reference, and
-    # tight stop budgets check that the unroutable reasons agree too
+    # early; the unpruned search (no cut, no stop) is the reference
     rng = np.random.default_rng(np.random.SeedSequence(97531))
     routed = 0
     for i in range(300):
         req, net, led, cfg = random_router_instance(rng, max_points=12)
-        cfg = dataclasses.replace(cfg, max_stops=int(rng.choice([1, 2, 3, 64])))
         kwargs = {}
         if i % 2:
             kwargs = dict(
@@ -339,11 +329,10 @@ def test_random_collinear_ties_match_enumeration_and_unpruned():
     multi = 0
     for _ in range(300):
         req, net = random_corridor_instance(rng)
-        cfg = dataclasses.replace(CFG, max_stops=int(rng.choice([2, 3, 64])))
         led = ReservationLedger()
-        plan = plan_route(req, net, led, cfg)
-        assert plan == plan_route(req, net, led, dataclasses.replace(cfg, prune=False))
-        best = enumerate_best(req, net, led, cfg)
+        plan = plan_route(req, net, led, CFG)
+        assert plan == plan_route(req, net, led, dataclasses.replace(CFG, prune=False))
+        best = enumerate_best(req, net, led, CFG)
         if isinstance(plan, Unroutable):
             assert best is None
             continue
@@ -365,6 +354,31 @@ def test_label_budget_reason(monkeypatch):
     assert [s.cp_id for s in plan.stops] == ["s1", "s2"]
 
 
+def test_seventy_stops_on_the_equator():
+    # 70 DC points 50 km apart and a 3540 km trip: each leg reaches only the
+    # next point, so the plan stops at every one of them; no stop budget
+    # cuts a long trip short, and the label chain gives legs and stops in
+    # travel order
+    anchor = GeoPoint(0.0, 0.0)
+    ids = [f"p{i:02d}" for i in range(1, 71)]
+    net = ChargeNetwork(
+        [ChargePoint(cp_id, offset_km(anchor, 50.0 * i, 0.0), "DC", 50.0)
+         for i, cp_id in enumerate(ids, 1)]
+    )
+    req = TripRequest(1, anchor, offset_km(anchor, 3540.0, 0.0))
+    plan = plan_route(req, net, ReservationLedger(), CFG)
+    assert isinstance(plan, RoutePlan)
+    assert [s.cp_id for s in plan.stops] == ids
+    assert plan == plan_route(req, net, ReservationLedger(), dataclasses.replace(CFG, prune=False))
+    assert plan.legs[0].start == req.origin
+    assert plan.legs[-1].end == req.destination
+    for a, b in zip(plan.legs, plan.legs[1:]):
+        assert a.end == b.start
+    for leg, stop in zip(plan.legs, plan.stops):
+        assert leg.end == net.by_id[stop.cp_id].location
+    assert plan.route_km == pytest.approx(3540.0, rel=1e-9)
+
+
 def test_average_trip_speed_zero_guard():
     anchor = GeoPoint(0.0, 30.0)
     req = TripRequest(1, anchor, anchor)
@@ -374,7 +388,6 @@ def test_average_trip_speed_zero_guard():
 
 
 def test_router_config_validation():
-    with pytest.raises(ValueError):
+    message = r"unknown mode 'psychic'; expected one of \('aware', 'blind'\)"
+    with pytest.raises(ValueError, match=message):
         RouterConfig(ev=EV, mode="psychic")
-    with pytest.raises(ValueError):
-        RouterConfig(ev=EV, max_stops=0)
