@@ -2,12 +2,23 @@
 
 Each charge point fails independently with probability p_f. Committed
 routes are replayed against a fault mask: a vehicle drives its plan until
-the first faulty stop, then re-plans from that point with whatever charge
-it arrived on. The reroute may spend the reserve (down to empty, never
-below), avoids every faulted point, and respects other vehicles'
-reservations; nothing is booked during replay, so one vehicle's fault never
-cascades into another's schedule. A vehicle that can reach neither an
-operational point nor its destination is stranded.
+the first faulty stop, then must finish from there on the charge it
+arrived with. It may spend the reserve (down to empty, never below) and
+must avoid every faulted point. Stranding is a reachability verdict: a
+vehicle is stranded when no sequence of operational points gets it to its
+destination. Reservations never decide it, because the ledger always
+yields a slot and a wait never changes whether a trip can finish, so the
+verdict depends on charge alone.
+
+A max-charge search gives the verdict. It keeps the highest departure
+charge per point and uses the router's leg arithmetic, so it reaches the
+destination exactly when plan_route, given the same start, charge, floor 0
+and faulted points, returns a plan. The router is consulted only for a
+trip that cannot finish, which it reports unroutable; that re-plan honours
+other vehicles' reservations and books nothing, so one vehicle's fault
+never cascades into another's schedule. The one difference from asking
+the router every time: a trip where plan_route would pop MAX_LABELS labels
+before finding a route that exists now counts as rerouted, not stranded.
 
 Sweeps over p_f reuse one uniform draw per point per mask (common random
 numbers), which makes the stranding curve exactly monotone in p_f.
@@ -15,13 +26,18 @@ numbers), which makes the stranding curve exactly monotone in p_f.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .network import ChargeNetwork
+from .ev import EvParams, soc_drop
+from .geo import GeoPoint, distance_km
+from .network import ChargeNetwork, ChargePoint
 from .reservations import ReservationLedger
-from .router import AWARE, RoutePlan, RouterConfig, TripRequest, Unroutable, plan_route
+from .router import (
+    AWARE, RoutePlan, RouterConfig, TripRequest, Unroutable, plan_route, span_km,
+)
 from .stats import wilson_interval
 
 COMPLETED = "completed"
@@ -32,7 +48,6 @@ STRANDED = "stranded"
 @dataclass(frozen=True)
 class ReplayOutcome:
     status: str
-    extra_time_h: float = 0.0
     first_faulty_cp: str | None = None
 
 
@@ -47,14 +62,71 @@ def sample_fault_masks(
     return [frozenset(pid for pid, x in zip(ids, u) if x < p_f) for p_f in p_fs]
 
 
+def can_finish(
+    start: GeoPoint,
+    soc: float,
+    destination: GeoPoint,
+    net: ChargeNetwork,
+    ev: EvParams,
+    exclude: frozenset[str],
+    to_dest: dict[GeoPoint, float],
+) -> bool:
+    """Whether some sequence of operational, non-excluded points takes a
+    vehicle at `start` with charge `soc` to the destination, at floor 0.
+
+    Points pop in order of their best departure charge. A stop charges to
+    the target or keeps a higher arrival charge, so a point's departure
+    charge never falls below the target and never exceeds the charge it
+    was reached from: the first pop of a point holds its highest charge.
+    More charge reaches a superset of legs, so keeping only the highest is
+    exact. A point is tested against the destination when its charge is
+    raised, so the search ends at the first point that can finish.
+    `to_dest` caches the km from each location to the destination.
+    """
+    target = ev.charge_target_soc
+    best: dict[str, float] = {}
+    heap: list[tuple[float, str, ChargePoint]] = []
+    d_dest = to_dest.get(start)
+    if d_dest is None:
+        d_dest = to_dest[start] = distance_km(start, destination)
+    loc, reach = start, span_km(ev, soc, 0.0)
+    if d_dest <= reach:
+        return True
+    while True:
+        for d_leg, cp in net.within_radius(loc, reach):
+            if not cp.operational or cp.id in exclude:
+                continue
+            soc_in = soc - soc_drop(ev, d_leg)
+            soc_out = soc_in if soc_in >= target else target
+            if soc_out > best.get(cp.id, -1.0):
+                d_dest = to_dest.get(cp.location)
+                if d_dest is None:
+                    d_dest = to_dest[cp.location] = distance_km(cp.location, destination)
+                if d_dest <= span_km(ev, soc_out, 0.0):
+                    return True
+                best[cp.id] = soc_out
+                heapq.heappush(heap, (-soc_out, cp.id, cp))
+        while heap:
+            neg, pid, cp = heapq.heappop(heap)
+            if -neg == best[pid]:
+                break
+        else:
+            return False
+        soc, loc = -neg, cp.location
+        reach = span_km(ev, soc, 0.0)
+
+
 def replay_trip(
     plan: RoutePlan,
     mask: frozenset[str],
     net: ChargeNetwork,
     ledger: ReservationLedger,
     cfg: RouterConfig,
+    to_dest: dict[GeoPoint, float] | None = None,
 ) -> ReplayOutcome:
-    """Drive a committed plan against a fault mask."""
+    """Drive a committed plan against a fault mask. `to_dest` may carry
+    the km from each location to the plan's destination from one replay
+    to the next."""
     faulty = None
     for s in plan.stops:
         if s.cp_id in mask:
@@ -63,9 +135,12 @@ def replay_trip(
     if faulty is None:
         return ReplayOutcome(COMPLETED)
     here = net.by_id[faulty.cp_id].location
+    if can_finish(here, faulty.soc_in, plan.destination, net, cfg.ev, mask,
+                  {} if to_dest is None else to_dest):
+        return ReplayOutcome(REROUTED, faulty.cp_id)
+    # the router confirms the stranding; reroutes honour existing
+    # reservations even when the original plan was made blind
     req = TripRequest(plan.ev_id, here, plan.destination, depart_h=faulty.arrival_h)
-    # reroutes honour existing reservations even when the original plan was
-    # made blind, so replay always queries the ledger
     replan = plan_route(
         req, net, ledger, dc_replace(cfg, mode=AWARE),
         initial_soc=faulty.soc_in,
@@ -73,10 +148,7 @@ def replay_trip(
         exclude=mask,
         ignore_ev=plan.ev_id,
     )
-    if isinstance(replan, Unroutable):
-        return ReplayOutcome(STRANDED, first_faulty_cp=faulty.cp_id)
-    extra = max(0.0, replan.arrival_h - plan.arrival_h)
-    return ReplayOutcome(REROUTED, extra_time_h=extra, first_faulty_cp=faulty.cp_id)
+    return ReplayOutcome(STRANDED if isinstance(replan, Unroutable) else REROUTED, faulty.cp_id)
 
 
 def estimate_ps_first_order(p_c: float, p_f: float, n_isolated: int, n_total: int) -> float:
@@ -141,14 +213,15 @@ def run_fault_sweep(
     grid = sorted(set(p_f_grid))
     charging = [p for p in plans if p.stops]
     n_charging_flagged = sum(1 for p in plans if p.needed_charge)
+    to_dest = [{} for _ in charging]
     stranded = {p_f: 0 for p_f in grid}
     for m in range(n_masks):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(m,)))
         for p_f, mask in zip(grid, sample_fault_masks(net, grid, rng)):
             if not mask:
                 continue
-            for plan in charging:
-                out = replay_trip(plan, mask, net, ledger, cfg)
+            for plan, memo in zip(charging, to_dest):
+                out = replay_trip(plan, mask, net, ledger, cfg, memo)
                 if out.status == STRANDED:
                     stranded[p_f] += 1
     trips = (len(plans) + n_unroutable) * n_masks

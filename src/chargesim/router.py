@@ -26,7 +26,11 @@ before departing. The planner searches stop sequences with a goal-directed
     dropped;
   * a trip that pops over MAX_LABELS labels before it finds an arrival is
     unroutable; once an arrival is known, the A* stop bounds the search,
-    so every search ends in bounded time.
+    so every search ends in bounded time;
+  * a trip that needs a charge is unroutable at once when no usable point
+    lies within reach of the destination: no label departs with more
+    charge than the larger of its initial charge and the charge target, so
+    no last leg is longer than that charge's span.
 
 Ties on arrival break toward fewer stops, then the lexicographically
 smallest stop-id sequence, so plans are deterministic.
@@ -67,6 +71,7 @@ BLIND = "blind"
 MODES = (AWARE, BLIND)
 BOUND_SLACK_KM = 1e-9  # the A* bound's margin for rounding; see above
 MAX_LABELS = 100_000  # labels a trip may pop before its first arrival
+NO_ROUTE = "no operational charge-point sequence reaches the destination"
 
 
 @dataclass(frozen=True)
@@ -146,6 +151,11 @@ def average_trip_speed(plan: RoutePlan) -> float:
     return plan.route_km / plan.total_time_h
 
 
+def span_km(ev: EvParams, soc: float, floor: float) -> float:
+    """Longest leg that keeps the arrival charge at or above the floor."""
+    return max(0.0, soc - floor) * ev.max_range_km * ev.route_scale
+
+
 def plan_route(
     req: TripRequest,
     net: ChargeNetwork,
@@ -165,13 +175,8 @@ def plan_route(
     """
     ev = cfg.ev
     floor = ev.reserve_soc if reserve_floor is None else reserve_floor
-
-    def span_km(soc: float) -> float:
-        # longest leg that keeps arrival charge at or above the floor
-        return max(0.0, soc - floor) * ev.max_range_km * ev.route_scale
-
     direct = distance_km(req.origin, req.destination)
-    if direct <= span_km(initial_soc):
+    if direct <= span_km(ev, initial_soc, floor):
         leg = Leg(req.origin, req.destination, direct, direct / ev.speed_kph)
         return RoutePlan(
             ev_id=req.ev_id,
@@ -182,6 +187,12 @@ def plan_route(
             direct_km=direct,
             needed_charge=False,
         )
+    # the exit test (see above); the slack covers the radius query measuring
+    # from the destination where a last leg measures to it
+    reach = span_km(ev, max(initial_soc, ev.charge_target_soc), floor) + BOUND_SLACK_KM
+    if not any(cp.operational and cp.id not in exclude
+               for _, cp in net.within_radius(req.destination, reach)):
+        return Unroutable(req.ev_id, NO_ROUTE, direct)
 
     # A* over labels (f, dep, n_stops, seq, soc, loc, d_dest, parent, d_leg,
     # arr, slot, soc_in); after f the heap order agrees with the final
@@ -205,7 +216,7 @@ def plan_route(
         popped += 1
         if best is None and popped > MAX_LABELS:
             return Unroutable(req.ev_id, f"label budget exhausted at {MAX_LABELS} labels", direct)
-        if d_dest <= span_km(soc):
+        if d_dest <= span_km(ev, soc, floor):
             arrival = dep + d_dest / speed
             if best is None or (arrival, n_stops, seq) < (best_arrival, *best[1][2:4]):
                 best = (arrival, label)
@@ -214,7 +225,7 @@ def plan_route(
             # charge time is non-negative and legs obey the triangle
             # inequality, so skip the extensions
             continue
-        for d_leg, cp in net.within_radius(loc, span_km(soc)):
+        for d_leg, cp in net.within_radius(loc, span_km(ev, soc, floor)):
             if not cp.operational or cp.id in exclude:
                 continue
             d_cp = to_dest.get(cp.id)
@@ -258,8 +269,7 @@ def plan_route(
             heapq.heappush(heap, new)
 
     if best is None:
-        reason = "no operational charge-point sequence reaches the destination"
-        return Unroutable(req.ev_id, reason, direct)
+        return Unroutable(req.ev_id, NO_ROUTE, direct)
 
     arrival, label = best
     legs = [Leg(label[5], req.destination, label[6], label[6] / speed)]

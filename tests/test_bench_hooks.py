@@ -108,3 +108,30 @@ def test_destination_sampling_calls_the_grid_instances_distances_from(fx):
     grid.distances_from = distances_from
     trips = experiment.sample_trip_batch(grid, dist, 3, 0, 40)
     assert len(trips) == 40 and len(calls) >= len(trips)
+
+
+def test_fault_replans_are_the_strandings(fx, tmp_path, monkeypatch):
+    # a traced faults run counts its strandings as the faults.plan_route
+    # calls that return Unroutable, and checks them against faults.csv
+    results = []
+    real = faults.plan_route
+
+    def plan_route(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(faults, "plan_route", plan_route)
+    out = tmp_path / "out"
+    assert cli.main(
+        ["faults", "-c", str(fx / "scenario.cfg"), "--out", str(out), "--n-ev", "40",
+         "--threads", "1", "--masks", "10", "--pf-grid", "0.5,0.9",
+         "--set", "max_range_km=16"]
+    ) == 0
+    rows = (out / "faults.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    stranded = sum(int(r.split(",")[header.index("stranded")]) for r in rows[1:])
+    unroutable = sum(1 for r in results if isinstance(r, faults.Unroutable))
+    assert stranded > 0
+    assert unroutable == stranded
+    # the router is consulted only for a trip that cannot finish
+    assert len(results) == unroutable

@@ -1,17 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from chargesim.ev import EvParams
-from chargesim.network import add_colocated_redundancy
+from chargesim.geo import distance_km
+from chargesim.network import ChargeNetwork, add_colocated_redundancy
 from chargesim.reservations import ReservationLedger
-from chargesim.router import AWARE, RouterConfig
+from chargesim.router import AWARE, RoutePlan, RouterConfig, TripRequest, plan_route
 from chargesim.stats import wilson_interval
 from chargesim.faults import (
     COMPLETED,
     REROUTED,
     STRANDED,
+    can_finish,
     estimate_ps_first_order,
     replay_trip,
     SweepRow,
@@ -21,9 +24,11 @@ from chargesim.faults import (
 
 from helpers import (
     FAULT_ISOLATION_RADIUS_KM,
+    enumerate_best,
     fault_network,
     fault_trip_rows,
     plan_fault_trips,
+    random_router_instance,
 )
 
 CFG = RouterConfig(ev=EvParams(), mode=AWARE)
@@ -84,7 +89,15 @@ def test_replay_completed(net, planned):
     out = replay_trip(plans[0], frozenset({"b1"}), net, ReservationLedger(), CFG)
     assert out.status == COMPLETED
     assert out.first_faulty_cp is None
-    assert out.extra_time_h == 0.0
+
+
+def _replan(plan, mask, net):
+    """plan_route with the keywords a stranded replay passes it."""
+    stop = next(s for s in plan.stops if s.cp_id in mask)
+    req = TripRequest(plan.ev_id, net.by_id[stop.cp_id].location, plan.destination,
+                      depart_h=stop.arrival_h)
+    return plan_route(req, net, ReservationLedger(), CFG, initial_soc=stop.soc_in,
+                      reserve_floor=0.0, exclude=mask, ignore_ev=plan.ev_id)
 
 
 def test_replay_rerouted_within_cluster(net, planned):
@@ -93,7 +106,9 @@ def test_replay_rerouted_within_cluster(net, planned):
     out = replay_trip(plans[0], frozenset({"c0"}), net, ReservationLedger(), CFG)
     assert out.status == REROUTED
     assert out.first_faulty_cp == "c0"
-    assert out.extra_time_h > 0.0
+    replan = _replan(plans[0], frozenset({"c0"}), net)
+    assert isinstance(replan, RoutePlan)
+    assert replan.arrival_h > plans[0].arrival_h
 
 
 def test_replay_stranded_at_isolated_point(net, planned):
@@ -110,8 +125,50 @@ def test_replay_zero_extra_time_with_colocated_twin(net, planned):
     iso_plan = next(p for p in plans if p.stops[0].cp_id == "i0")
     out = replay_trip(iso_plan, frozenset({"i0"}), grown, ReservationLedger(), CFG)
     assert out.status == REROUTED
+    assert out.first_faulty_cp == "i0"
     # the twin shares the location, so the reroute costs nothing
-    assert out.extra_time_h == pytest.approx(0.0, abs=1e-12)
+    replan = _replan(iso_plan, frozenset({"i0"}), grown)
+    assert isinstance(replan, RoutePlan)
+    assert replan.arrival_h == pytest.approx(iso_plan.arrival_h, abs=1e-12)
+
+
+def test_can_finish_matches_router_and_enumeration():
+    # the verdict must equal the router's with the replay keywords, and the
+    # exhaustive oracle's on instances of up to six points. Half the cases
+    # carry a colocated twin per point, and a tenth of the points are out of
+    # service besides the masked ones. Every third case sets the range so
+    # that one leg is exactly the span of a full charge (range = leg, route
+    # scale 1, charge target 1): the longer leg of origin -> p ->
+    # destination, or on every sixth case the direct leg with every point
+    # down
+    rng = np.random.default_rng(np.random.SeedSequence(11235))
+    verdicts = {True: 0, False: 0}
+    ties = 0
+    for i in range(360):
+        big = i % 4 == 3
+        req, net, led, cfg = random_router_instance(rng, max_points=12 if big else 3 if i % 2 else 6)
+        if i % 2:
+            net = add_colocated_redundancy(net, [p.id for p in net.points])
+        net = ChargeNetwork([dataclasses.replace(p, operational=bool(rng.random() >= 0.1))
+                             for p in net.points])
+        soc = float(rng.uniform(0.05, 1.0))
+        mask = frozenset(p.id for p in net.points if rng.random() < 0.3)
+        if i % 3 == 0:
+            p = net.points[int(rng.integers(len(net.points)))]
+            leg = max(distance_km(req.origin, p.location), distance_km(p.location, req.destination))
+            if i % 6 == 0:
+                leg, mask = distance_km(req.origin, req.destination), frozenset(net.by_id)
+            cfg = dataclasses.replace(cfg, ev=EvParams(
+                max_range_km=leg, route_scale=1.0, charge_target_soc=1.0))
+            soc = 1.0
+        verdict = can_finish(req.origin, soc, req.destination, net, cfg.ev, mask, {})
+        kwargs = dict(initial_soc=soc, reserve_floor=0.0, exclude=mask, ignore_ev=req.ev_id)
+        assert verdict == isinstance(plan_route(req, net, led, cfg, **kwargs), RoutePlan)
+        if not big:
+            assert verdict == (enumerate_best(req, net, led, cfg, **kwargs) is not None)
+        verdicts[verdict] += 1
+        ties += i % 3 == 0 and verdict
+    assert min(verdicts.values()) > 60 and ties > 20
 
 
 def test_replay_leaves_ledger_untouched(net, planned):

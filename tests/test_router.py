@@ -42,6 +42,32 @@ def test_zero_stop_trip():
     assert average_trip_speed(plan) == pytest.approx(90.0, rel=1e-12)
 
 
+def test_destination_beyond_every_point_ends_after_one_radius_query(monkeypatch):
+    # a 6 x 6 block of points at an 8 km pitch, the destination 100 km past
+    # its east edge: no point is within one charged leg of it, so the exit
+    # test ends the search where label expansion would scan from every point
+    anchor = GeoPoint(0.0, 30.0)
+    net = ChargeNetwork([
+        ChargePoint(f"g{i}{j}", offset_km(anchor, 8.0 * i, 8.0 * j), "DC", 50.0)
+        for i in range(6) for j in range(6)
+    ])
+    req = TripRequest(1, anchor, offset_km(anchor, 140.0, 20.0))
+    calls = []
+    real = net.within_radius
+
+    def within_radius(center, radius_km):
+        calls.append(radius_km)
+        return real(center, radius_km)
+
+    monkeypatch.setattr(net, "within_radius", within_radius)
+    for cfg in (CFG, dataclasses.replace(CFG, prune=False)):
+        calls.clear()
+        out = plan_route(req, net, ReservationLedger(), cfg)
+        assert isinstance(out, Unroutable)
+        assert out.reason == router.NO_ROUTE
+        assert len(calls) <= 2
+
+
 def test_direct_range_threshold():
     # usable range from full is 74.8 km; just beyond it needs a charge
     anchor = GeoPoint(0.0, 30.0)
