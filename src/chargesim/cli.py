@@ -28,7 +28,6 @@ from . import __version__
 from .config import (
     ISOLATED,
     SCHEMA,
-    SEED_ENV_VAR,
     describe_schema,
     parse_config_file,
     parse_value,
@@ -103,11 +102,11 @@ def _write_manifest(out_dir: str, ns, opts: dict, outputs: list[str], t0: float)
 def _collect_overrides(ns) -> dict:
     """Flag values routed into the config schema; --set covers every key."""
     overrides = {
-        key: parse_value(key, getattr(ns, flag), f"bad value for --{flag.replace('_', '-')}")
-        for flag, key in getattr(ns, "_flag_keys", {}).items()
-        if getattr(ns, flag, None) is not None
+        key: parse_value(key, getattr(ns, key), f"bad value for --{flag}")
+        for flag, key in SCENARIO_FLAGS[ns.subcommand].items()
+        if getattr(ns, key) is not None
     }
-    for item in getattr(ns, "set", None) or []:
+    for item in ns.set or []:
         key, sep, raw = item.partition("=")
         key = key.strip()
         if not sep:
@@ -119,7 +118,7 @@ def _collect_overrides(ns) -> dict:
 
 
 def _resolve(ns) -> dict:
-    file_values = parse_config_file(ns.config) if getattr(ns, "config", None) else {}
+    file_values = parse_config_file(ns.config) if ns.config else {}
     return resolve_options(file_values, _collect_overrides(ns))
 
 
@@ -510,30 +509,18 @@ def cmd_gen_fixtures(ns) -> int:
 # parser
 
 
-BASE_FLAG_KEYS = {
-    "n_ev": "n_ev",
-    "seed": "seed",
-    "mode": "mode",
-    "replicates": "replicates",
-    "threads": "threads",
+# flag spelling -> config key, per scenario subcommand; a flag's help is
+# its key's schema description
+SHARED_FLAGS = {"n-ev": "n_ev", "seed": "seed", "mode": "mode",
+                "replicates": "replicates", "threads": "threads"}
+SCENARIO_FLAGS = {
+    "simulate": {**SHARED_FLAGS, "n-ev-grid": "n_ev_grid", "onboard-ac": "onboard_ac_limit_kw"},
+    "faults": {**SHARED_FLAGS, "pf-grid": "pf_grid", "masks": "fault_masks",
+               "fault-seed": "fault_seed", "reserve": "reserve_soc",
+               "add-redundancy": "add_redundancy"},
+    "capacity": {**SHARED_FLAGS, "threshold": "capacity_threshold_kph",
+                 "target": "capacity_target_p"},
 }
-
-
-def _add_common(p: argparse.ArgumentParser, **extra_flag_keys: str) -> None:
-    p.add_argument("-c", "--config", help="flat key = value config file")
-    p.add_argument("--out", help="output directory (default chargesim-out)")
-    p.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override any config key; repeatable",
-    )
-    p.add_argument("--n-ev", dest="n_ev", help="fleet size")
-    p.add_argument("--seed", help=f"root seed (default ${SEED_ENV_VAR} or 0)")
-    p.add_argument("--mode", help="aware | blind (reservation- prefix accepted)")
-    p.add_argument("--replicates", help="independent replicates")
-    p.add_argument("--threads", help="worker processes; 0 = all cores")
-    p.set_defaults(_flag_keys=dict(BASE_FLAG_KEYS, **extra_flag_keys))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,35 +532,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"chargesim {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("simulate", help="fleet sweep: metrics CSV + summary JSON")
-    _add_common(p, n_ev_grid="n_ev_grid", onboard_ac="onboard_ac_limit_kw")
-    p.add_argument("--n-ev-grid", dest="n_ev_grid", help="comma list of fleet sizes")
-    p.add_argument("--onboard-ac", dest="onboard_ac", help="onboard AC charger limit, kW")
-    p.add_argument("--dump-routes", action="store_true", help="write per-trip routes.jsonl")
-    p.add_argument("--dump-ledger", action="store_true", help="write realized bookings CSV")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("faults", help="fault-injection sweep over p_f")
-    _add_common(
-        p, pf_grid="pf_grid", masks="fault_masks", fault_seed="fault_seed",
-        reserve="reserve_soc", add_redundancy="add_redundancy",
-    )
-    p.add_argument("--pf-grid", help="comma list, or start:stop[:n][:log]")
-    p.add_argument("--masks", dest="masks", help="fault masks per p_f")
-    p.add_argument("--fault-seed", dest="fault_seed", help="mask stream seed")
-    p.add_argument("--reserve", dest="reserve", help="reserve state of charge")
-    p.add_argument(
-        "--add-redundancy",
-        metavar="isolated:RADIUS_KM | id,id,...",
-        help="add a co-located twin at each target point before the sweep",
-    )
-    p.set_defaults(func=cmd_faults)
-
-    p = sub.add_parser("capacity", help="largest fleet meeting a failure target")
-    _add_common(p, threshold="capacity_threshold_kph", target="capacity_target_p")
-    p.add_argument("--threshold", dest="threshold", help="speed threshold, kph")
-    p.add_argument("--target", dest="target", help="tolerated P(below threshold)")
-    p.set_defaults(func=cmd_capacity)
+    for name, summary, func in [
+        ("simulate", "fleet sweep: metrics CSV + summary JSON", cmd_simulate),
+        ("faults", "fault-injection sweep over p_f", cmd_faults),
+        ("capacity", "largest fleet meeting a failure target", cmd_capacity),
+    ]:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("-c", "--config", help="flat key = value config file")
+        p.add_argument("--out", help="output directory (default chargesim-out)")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override any config key; repeatable")
+        for flag, key in SCENARIO_FLAGS[name].items():
+            p.add_argument(f"--{flag}", dest=key, help=SCHEMA[key][2])
+        if name == "simulate":
+            p.add_argument("--dump-routes", action="store_true", help="write per-trip routes.jsonl")
+            p.add_argument("--dump-ledger", action="store_true", help="write realized bookings CSV")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("validate", help="arithmetic and distribution self-checks")
     p.add_argument("--ev-math", dest="ev_math", action="store_true", help="vehicle arithmetic")

@@ -24,15 +24,6 @@ from .experiment import ScenarioConfig
 SEED_ENV_VAR = "CHARGESIM_SEED"
 
 
-def _parse_bool(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 def _parse_float(s: str) -> float:
     v = float(s)
     if not math.isfinite(v):
@@ -95,25 +86,29 @@ def parse_redundancy(text: str) -> str:
     return ",".join(ids)
 
 
-# key -> (parser, default, description)
+# key -> (parser, default, description); a default the scenario's dataclasses
+# also hold is read from them (a dataclass field's default is a class attribute)
 SCHEMA: dict[str, tuple] = {
     "population_csv": (str, None, "path to lat,lon,population cell grid"),
     "network_csv": (str, None, "path to id,lat,lon,kind,power_kw charge points"),
     "n_ev": (int, 1000, "fleet size (capacity search ceiling)"),
     "n_ev_grid": (_parse_ints, (), "fleet sizes for the simulate sweep; empty = just n_ev"),
     "seed": (int, None, f"root RNG seed; default ${SEED_ENV_VAR} or 0"),
-    "replicates": (int, 1, "independent replicates per scenario"),
-    "mode": (str, "aware", "reservation mode: aware | blind"),
+    "replicates": (int, ScenarioConfig.replicates, "independent replicates per scenario"),
+    "mode": (str, ScenarioConfig.mode, "reservation mode: aware | blind"),
+    # 1 in ScenarioConfig: a run from the command line uses every core unless told
     "threads": (int, 0, "worker processes for replicates; 0 = all cores"),
-    "battery_kwh": (_parse_float, 24.0, "usable battery energy"),
-    "speed_kph": (_parse_float, 90.0, "cruise speed"),
-    "max_range_km": (_parse_float, 110.0, "rated range on a full battery"),
-    "dc_charge_kw": (_parse_float, 45.0, "vehicle-side DC charging limit"),
-    "onboard_ac_limit_kw": (_parse_float, 22.0, "onboard AC charger limit"),
-    "reserve_soc": (_parse_float, 0.20, "minimum state of charge en route"),
-    "charge_target_soc": (_parse_float, 0.80, "charge-to level at each stop"),
-    "route_scale": (_parse_float, 0.85, "straight-line range discount for road indirection"),
-    "speed_thresholds_kph": (_parse_floats, (60.0, 40.0, 10.0), "below-speed fractions to report"),
+    "battery_kwh": (_parse_float, EvParams.battery_kwh, "usable battery energy"),
+    "speed_kph": (_parse_float, EvParams.speed_kph, "cruise speed"),
+    "max_range_km": (_parse_float, EvParams.max_range_km, "rated range on a full battery"),
+    "dc_charge_kw": (_parse_float, EvParams.dc_charge_kw, "vehicle-side DC charging limit"),
+    "onboard_ac_limit_kw": (_parse_float, EvParams.onboard_ac_limit_kw, "onboard AC charger limit"),
+    "reserve_soc": (_parse_float, EvParams.reserve_soc, "minimum state of charge en route"),
+    "charge_target_soc": (_parse_float, EvParams.charge_target_soc, "charge-to level at each stop"),
+    "route_scale": (_parse_float, EvParams.route_scale,
+                    "straight-line range discount for road indirection"),
+    "speed_thresholds_kph": (_parse_floats, ScenarioConfig.speed_thresholds_kph,
+                             "below-speed fractions to report"),
     "pf_grid": (parse_pf_grid, (0.01, 0.02, 0.05, 0.1, 0.2),
                 "fault probabilities for the sweep: comma list, or start:stop[:n][:log]"),
     "fault_masks": (int, 100, "fault masks per p_f"),
@@ -187,21 +182,14 @@ def resolve_options(file_values: dict, overrides: dict) -> dict:
     return opts
 
 
+def _build(cls, values: dict):
+    return cls(**{f.name: values[f.name] for f in fields(cls)})
+
+
 def scenario_from_options(opts: dict) -> ScenarioConfig:
     """The scenario, checked by its own types, with each n_ev_grid size."""
     try:
-        ev = EvParams(**{f.name: opts[f.name] for f in fields(EvParams)})
-        cfg = ScenarioConfig(
-            n_ev=opts["n_ev"],
-            seed=opts["seed"],
-            replicates=opts["replicates"],
-            mode=opts["mode"],
-            ev=ev,
-            population_csv=opts["population_csv"],
-            network_csv=opts["network_csv"],
-            speed_thresholds_kph=tuple(opts["speed_thresholds_kph"]),
-            threads=opts["threads"],
-        )
+        cfg = _build(ScenarioConfig, dict(opts, ev=_build(EvParams, opts)))
         for n in opts["n_ev_grid"]:
             replace(cfg, n_ev=n)
         return cfg

@@ -56,7 +56,8 @@ from .router import (
 from .stats import wilson_interval, wilson_upper
 from .triplength import TripLengthDistribution, default_trip_distribution
 
-DEFAULT_SPEED_THRESHOLDS = (60.0, 40.0, 10.0)
+# trip lengths drawn for one origin before its trip is given up as a data error
+MAX_TRIP_LENGTH_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class ScenarioConfig:
     ev: EvParams = field(default_factory=EvParams)
     population_csv: str | None = None
     network_csv: str | None = None
-    speed_thresholds_kph: tuple[float, ...] = DEFAULT_SPEED_THRESHOLDS
+    speed_thresholds_kph: tuple[float, ...] = (60.0, 40.0, 10.0)
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -76,6 +77,8 @@ class ScenarioConfig:
             raise ValueError("n_ev must be at least 1")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        if len(set(self.speed_thresholds_kph)) < len(self.speed_thresholds_kph):
+            raise ValueError(f"repeated speed threshold in {self.speed_thresholds_kph}")
         self.router  # built here, so a bad mode fails at once
 
     @cached_property
@@ -133,12 +136,11 @@ def sample_trip(
     dist: TripLengthDistribution,
     rng: np.random.Generator,
     ev_id: int,
-    max_attempts: int = 1000,
 ) -> TripRequest:
     """One trip: weighted origin, then a length whose destination ring is
     populated. Empty rings resample the length, never the origin."""
     origin = sample_origin(grid, rng)
-    for _ in range(max_attempts):
+    for _ in range(MAX_TRIP_LENGTH_DRAWS):
         trip_km = dist.sample(rng)
         try:
             dest = sample_destination(grid, origin, trip_km, rng)
@@ -146,7 +148,7 @@ def sample_trip(
             continue
         return TripRequest(ev_id=ev_id, origin=origin, destination=dest)
     raise DataError(
-        f"no destination found for origin near {origin} after {max_attempts} trip lengths"
+        f"no destination found for origin near {origin} after {MAX_TRIP_LENGTH_DRAWS} trip lengths"
     )
 
 

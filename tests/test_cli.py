@@ -4,8 +4,8 @@ import multiprocessing
 import pytest
 
 from chargesim import experiment
-from chargesim.cli import main
-from chargesim.config import SEED_ENV_VAR, parse_pf_grid
+from chargesim.cli import SCENARIO_FLAGS, _collect_overrides, build_parser, main
+from chargesim.config import SEED_ENV_VAR, parse_pf_grid, parse_value
 from chargesim.errors import ConfigError
 from helpers import run_chargesim
 
@@ -219,19 +219,23 @@ def test_non_finite_inputs_exit_codes(fixture_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, message",
     [
-        ["faults", "--set", "pf_grid=0.1,nan"],
-        ["simulate", "--set", "speed_thresholds_kph=60,inf"],
-        ["capacity", "--set", "capacity_threshold_kph=nan"],
-        ["capacity", "--threshold", "inf"],
+        (["faults", "--set", "pf_grid=0.1,nan"], "not finite"),
+        (["simulate", "--set", "speed_thresholds_kph=60,inf"], "not finite"),
+        (["capacity", "--set", "capacity_threshold_kph=nan"], "not finite"),
+        (["capacity", "--threshold", "inf"], "not finite"),
+        # a repeated threshold would count each slow trip twice
+        (["simulate", "--set", "speed_thresholds_kph=100,100"], "repeated speed threshold"),
     ],
+    ids=[f"args{i}" for i in range(5)],
 )
-def test_non_finite_sweep_and_threshold_keys_exit_2(fixture_dir, tmp_path, args, capsys):
+def test_non_finite_sweep_and_threshold_keys_exit_2(fixture_dir, tmp_path, args, message, capsys):
     # keys read outside EvParams reject non-finite values too
     rc = main(args + ["-c", str(fixture_dir / "scenario.cfg"), "--out", str(tmp_path)])
     assert rc == 2
-    assert "not finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -572,3 +576,24 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "chargesim" in capsys.readouterr().out
+
+
+# a valid value, not the default, for each key a scenario flag sets
+FLAG_VALUES = {
+    "n_ev": "7", "seed": "5", "mode": "blind", "replicates": "3", "threads": "2",
+    "n_ev_grid": "10,20", "onboard_ac_limit_kw": "7.4", "pf_grid": "0.1:0.5:3",
+    "fault_masks": "9", "fault_seed": "4", "reserve_soc": "0.3",
+    "add_redundancy": "isolated:18.7", "capacity_threshold_kph": "50",
+    "capacity_target_p": "1e-3",
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, key",
+    [(command, flag, key) for command, flags in SCENARIO_FLAGS.items()
+     for flag, key in flags.items()],
+)
+def test_every_scenario_flag_sets_its_key(command, flag, key):
+    raw = FLAG_VALUES[key]
+    ns = build_parser().parse_args([command, f"--{flag}", raw])
+    assert _collect_overrides(ns) == {key: parse_value(key, raw, key)}

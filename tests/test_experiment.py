@@ -195,6 +195,8 @@ def test_scenario_config_validation():
         ScenarioConfig(n_ev=0)
     with pytest.raises(ValueError):
         ScenarioConfig(n_ev=1, replicates=0)
+    with pytest.raises(ValueError, match="repeated speed threshold"):
+        ScenarioConfig(n_ev=1, speed_thresholds_kph=(100.0, 40.0, 100.0))
     # the router settings are checked when the scenario is built
     with pytest.raises(ValueError, match="unknown mode"):
         ScenarioConfig(n_ev=1, mode="psychic")
