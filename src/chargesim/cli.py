@@ -127,12 +127,10 @@ def _resolve(ns) -> dict:
 
 
 def _metrics_csv(metrics: list[ScenarioMetrics], thresholds: tuple[float, ...]) -> str:
-    header = (
-        "n_ev,trips,frac_charge,"
-        + ",".join(f"frac_below_{t:g}" for t in thresholds)
-        + ",frac_unroutable,mean_speed"
-    )
-    lines = [header]
+    header = ["n_ev", "trips", "frac_charge"]
+    header += [f"frac_below_{t:g}" for t in thresholds]
+    header += ["frac_unroutable", "mean_speed"]
+    lines = [",".join(header)]
     for m in metrics:
         cells = [str(m.n_ev), str(m.trips), _fmt(m.frac_needing_charge)]
         cells += [_fmt(m.frac_below(t)) for t in thresholds]

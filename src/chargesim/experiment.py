@@ -184,8 +184,8 @@ class TripStream:
     """The trips of one (seed, replicate), each sampled once and extended on
     demand through sample_trip_batch. Merging a new batch into the trips
     held draws each one's priority again, the first draw of its substream:
-    about 15 us a trip, where sampling one takes about 135 us on a 61k-cell
-    grid."""
+    about 20 us a trip, where sampling one takes about 200 us on a 61k-cell
+    grid (a shared 2-core host)."""
 
     def __init__(
         self, grid: PopulationGrid, dist: TripLengthDistribution, seed: int, replicate: int

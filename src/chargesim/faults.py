@@ -214,14 +214,18 @@ def run_fault_sweep(
     charging = [p for p in plans if p.stops]
     n_charging_flagged = sum(1 for p in plans if p.needed_charge)
     to_dest = [{} for _ in charging]
+    # the charging plans stopping at each point; a plan that meets no
+    # faulted stop completes, so only the plans a mask hits are replayed
+    stopping: dict[str, list[int]] = {}
+    for k, plan in enumerate(charging):
+        for s in plan.stops:
+            stopping.setdefault(s.cp_id, []).append(k)
     stranded = {p_f: 0 for p_f in grid}
     for m in range(n_masks):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(m,)))
         for p_f, mask in zip(grid, sample_fault_masks(net, grid, rng)):
-            if not mask:
-                continue
-            for plan, memo in zip(charging, to_dest):
-                out = replay_trip(plan, mask, net, ledger, cfg, memo)
+            for k in sorted({k for pid in mask for k in stopping.get(pid, ())}):
+                out = replay_trip(charging[k], mask, net, ledger, cfg, to_dest[k])
                 if out.status == STRANDED:
                     stranded[p_f] += 1
     trips = (len(plans) + n_unroutable) * n_masks

@@ -27,8 +27,16 @@ RING_HALF_WIDTHS = (0.5, 1.0, 2.0, 5.0)
 # side of the ring index's tiles, km
 TILE_KM = 10.0
 
-# slack on the tile test, km; covers the haversine's rounding near the
-# antipode (about 2e-4 km, see geo.distance_km) in each distance it compares
+# slack on the ring cut, km, added to each side of the ring before its
+# bounds become chords. The squared chord of an arc of angle a is
+# 2 - 2 cos(a), so the slack moves a bound by at least
+# (_TILE_MARGIN_KM / EARTH_RADIUS_KM)**2, about 2.5e-14, anywhere on
+# [0, pi]. That covers with room the rounding of the unit vectors (about
+# 3e-16 in chord) and of 2 - 2 u.o (about 2e-15), and the haversine's
+# rounding near the antipode (about 2e-4 km, see geo.distance_km), which is
+# about 1e-16 in its s = (chord / 2)**2. From half the circumference on,
+# the outer bound is no bound (_chord gives inf), so a near-antipodal chord
+# that rounds above 2 is still kept.
 _TILE_MARGIN_KM = 1e-3
 
 
@@ -93,36 +101,44 @@ class PopulationGrid:
         return _haversine_km(lat, math.cos(lat), math.radians(p.lon_deg), lat_c, lon_c)
 
     def ring_candidates(self, p: GeoPoint, trip_km: float, half_width_km: float) -> np.ndarray:
-        """Indices, ascending, of a superset of the cells whose centres lie
-        within half_width_km of the ring at trip_km from p: every cell of
-        each tile that can reach the ring."""
+        """Indices, ascending, of the cells whose centres lie within
+        half_width_km + _TILE_MARGIN_KM of the ring at trip_km from p: a
+        superset of the ring, cut by chord length from the cells of the
+        tiles that can reach it."""
         t = self._tiles
-        lat = math.radians(p.lat_deg)
-        d = _haversine_km(lat, math.cos(lat), math.radians(p.lon_deg), t.lat_rad, t.lon_rad)
-        reach = t.radius_km + _TILE_MARGIN_KM
-        keep = (d - reach <= trip_km + half_width_km) & (d + reach >= trip_km - half_width_km)
+        lo = _chord(max(0.0, trip_km - half_width_km - _TILE_MARGIN_KM))
+        hi = _chord(trip_km + half_width_km + _TILE_MARGIN_KM)
+        o = _unit_vectors(math.radians(p.lat_deg), math.radians(p.lon_deg))
+        # for unit vectors u and o, |u - o|**2 = 2 - 2 u.o; by the triangle
+        # inequality a member's chord to p is within its tile's radius of
+        # the centre's
+        d = np.sqrt(np.maximum(2.0 - 2.0 * (t.centre @ o), 0.0))
+        keep = (d - t.radius <= hi) & (d + t.radius >= lo)
         start, length = t.start[keep], t.length[keep]
         # each kept tile's run of positions in t.order, end to end
         ends = np.cumsum(length)
         pos = np.arange(int(length.sum())) + np.repeat(start - (ends - length), length)
-        return np.sort(t.order[pos])
+        # the cells whose squared chord 2 - 2 u.o lies in [lo**2, hi**2]
+        dot = t.xyz.take(pos, axis=0) @ o
+        return np.sort(t.order[pos[(dot >= 1.0 - hi * hi / 2.0) & (dot <= 1.0 - lo * lo / 2.0)]])
 
 
 @dataclass(frozen=True)
 class _Tiles:
     """The cells binned into tiles of about TILE_KM a side. order holds the
     cell indices tile by tile, ascending within a tile; tile k is
-    order[start[k]:start[k] + length[k]], and every member lies within
-    radius_km[k] of the tile's centre (lat_rad[k], lon_rad[k]). The radius
-    is measured from the members, so a query misses no cell whatever the
+    order[start[k]:start[k] + length[k]], and xyz holds the cells' unit
+    vectors in that order, one row each. Every member lies within the chord
+    radius[k] of the tile's centre, the unit vector centre[k]. The radius is
+    measured from the members, so a query misses no cell whatever the
     binning."""
 
     order: np.ndarray
     start: np.ndarray
     length: np.ndarray
-    lat_rad: np.ndarray
-    lon_rad: np.ndarray
-    radius_km: np.ndarray
+    centre: np.ndarray
+    radius: np.ndarray
+    xyz: np.ndarray
 
     @classmethod
     def build(cls, lat_rad: np.ndarray, lon_rad: np.ndarray) -> _Tiles:
@@ -138,14 +154,28 @@ class _Tiles:
         start = np.flatnonzero(np.r_[True, (np.diff(row) != 0) | (np.diff(col) != 0)])
         length = np.diff(np.r_[start, len(order)])
         first = order[start]
-        lat_t = row_lat[first]
-        lon_t = (col[start] + 0.5) * col_step[first]
-        # each member's distance to its tile's centre
-        centre_lat = np.repeat(lat_t, length)
-        d = _haversine_km(
-            centre_lat, np.cos(centre_lat), np.repeat(lon_t, length), lat_rad[order], lon_rad[order]
-        )
-        return cls(order, start, length, lat_t, lon_t, np.maximum.reduceat(d, start))
+        centre = _unit_vectors(row_lat[first], (col[start] + 0.5) * col_step[first]).T.copy()
+        xyz = _unit_vectors(lat_rad[order], lon_rad[order]).T.copy()
+        d = xyz - np.repeat(centre, length, axis=0)
+        radius = np.maximum.reduceat(np.sqrt((d * d).sum(axis=1)), start)
+        # ring_candidates takes chords to the centres from 2 - 2 u.o, which
+        # near 0 rounds by up to sqrt(1e-15), about 3e-8, in chord
+        return cls(order, start, length, centre, radius + 1e-7, xyz)
+
+
+def _unit_vectors(lat, lon) -> np.ndarray:
+    """The unit vector (x, y, z) of each point in radians, along the first
+    axis."""
+    cos_lat = np.cos(lat)
+    return np.array([cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)])
+
+
+def _chord(d_km: float) -> float:
+    """The chord, on the unit sphere, of an arc of d_km; inf from half the
+    circumference on, so a bound there keeps every chord, even one that
+    rounds above 2."""
+    a = d_km / (2.0 * EARTH_RADIUS_KM)
+    return 2.0 * math.sin(a) if a < math.pi / 2.0 else math.inf
 
 
 def _haversine_km(lat, cos_lat, lon, lat_c, lon_c) -> np.ndarray:
@@ -224,10 +254,12 @@ def sample_destination(
     realistic grids. If even the widest ring is empty, raises RingEmpty and
     the caller draws a fresh trip length.
 
-    Each ring is cut from the cells of the grid's tiles that can reach it
-    (PopulationGrid.ring_candidates). Those stay in index order, so the
-    weights, their cumulative sum and the pick are the floats a scan of
-    every cell would give, and so are the draws.
+    Each ring's candidates are cut by chord length from the grid's tiles
+    (PopulationGrid.ring_candidates): the ring's cells, and any within
+    _TILE_MARGIN_KM of its edges. The haversine of distances_from then
+    picks the ring from them exactly. The candidates stay in index order,
+    so the weights, their cumulative sum and the pick are the floats a scan
+    of every cell would give, and so are the draws.
     """
     if trip_km < 0:
         raise DataError(f"negative trip length: {trip_km}")

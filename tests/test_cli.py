@@ -98,6 +98,25 @@ def test_simulate_round_trip(fixture_dir, tmp_path):
     assert manifest["options"]["n_ev"] == 30
 
 
+
+def test_metrics_csv_without_thresholds_has_one_cell_per_column(fixture_dir, tmp_path):
+    out = tmp_path / "run"
+    rc = main(
+        [
+            "simulate",
+            "-c", str(fixture_dir / "scenario.cfg"),
+            "--out", str(out),
+            "--set", "speed_thresholds_kph=",
+            "--n-ev", "20",
+        ]
+    )
+    assert rc == 0
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert lines[0] == "n_ev,trips,frac_charge,frac_unroutable,mean_speed"
+    assert len(lines) == 2
+    assert all(len(line.split(",")) == 5 for line in lines)
+
+
 def test_simulate_fleet_grid(fixture_dir, tmp_path):
     out = tmp_path / "grid"
     rc = main(

@@ -9,6 +9,7 @@ from chargesim.experiment import sample_trip_batch
 from chargesim.geo import EARTH_RADIUS_KM, GeoPoint, distance_km, offset_km
 from chargesim.population import (
     RING_HALF_WIDTHS,
+    _TILE_MARGIN_KM,
     Cell,
     PopulationGrid,
     RingEmpty,
@@ -205,8 +206,9 @@ def _draw(sample, grid, origin, trip_km, seed):
 
 
 def test_destination_matches_full_scan_oracle():
-    # the k-d tree cut must give the full scan's draws bit for bit, and
-    # the same RingEmpty, for every kind of trip the sampler can be asked
+    # the tile index's chord cut must give the full scan's draws bit for
+    # bit, and the same RingEmpty, for every kind of trip the sampler can
+    # be asked
     rng = np.random.default_rng(101)
     edge_cases = widened = empty = 0
     for case in range(400):
@@ -293,6 +295,44 @@ def test_ring_candidates_cover_the_ring():
     assert pruned > 1000 and past_antipode > 50
 
 
+def test_ring_candidates_are_the_ring_plus_the_slack():
+    # the chord cut keeps every cell of the ring and none farther from it
+    # than the slack on each side allows, from points on, off and exactly
+    # antipodal to the grid's cells (there the chord may round above 2)
+    rng = np.random.default_rng(113)
+    half = math.pi * EARTH_RADIUS_KM
+    in_slack = past_antipode = 0
+    for case in range(300):
+        grid, _, span = _random_grid(rng)
+        cell = grid.cells[int(rng.integers(len(grid)))].center
+        if case % 3 == 0:  # anywhere on the sphere
+            origin = GeoPoint(math.degrees(math.asin(rng.uniform(-1.0, 1.0))),
+                              rng.uniform(-180.0, 180.0))
+        elif case % 3 == 1:
+            origin = offset_km(cell, *rng.uniform(-0.5, 0.5, 2))
+        else:
+            origin = GeoPoint(-cell.lat_deg, cell.lon_deg + 180.0)
+        d = grid.distances_from(origin)
+        trips = [0.0, rng.uniform(0.0, 2.0 * span), half - rng.uniform(0.0, 5.0), half]
+        for i in rng.integers(len(grid), size=3):
+            w = RING_HALF_WIDTHS[int(rng.integers(len(RING_HALF_WIDTHS)))]
+            trips += [_edge_trip(float(d[i]), w, 1), _edge_trip(float(d[i]), w, -1)]
+            trips.append(float(d[i]) + rng.uniform(-5.0, 5.0))
+        for trip_km in trips:
+            if trip_km < 0:
+                continue
+            for w in RING_HALF_WIDTHS:
+                cand = grid.ring_candidates(origin, trip_km, w)
+                off = np.abs(d[cand] - trip_km)
+                assert np.all(off <= w + 2.0 * _TILE_MARGIN_KM), (case, trip_km, w)
+                ring = np.flatnonzero(np.abs(d - trip_km) <= w)
+                assert np.isin(ring, cand).all(), (case, trip_km, w)
+                in_slack += int(np.sum(off > w))
+                past_antipode += trip_km + w > half and len(ring) > 0
+    # the draws above did reach the cases they were built for
+    assert in_slack > 0 and past_antipode > 100
+
+
 def _unit(lat_rad, lon_rad):
     return np.array([math.cos(lat_rad) * math.cos(lon_rad),
                      math.cos(lat_rad) * math.sin(lon_rad), math.sin(lat_rad)])
@@ -301,16 +341,16 @@ def _unit(lat_rad, lon_rad):
 def test_ring_candidates_margin_covers_antipodal_rounding():
     # a lone cell on a ring's edge, its tile's centre on the great circle
     # from the origin through the cell, and the origin near the antipode of
-    # whichever of the two is farther: the tile's reach then meets the ring
-    # exactly, and only the margin covers the haversine's rounding (with no
-    # margin about one query in ten finds no candidate)
+    # whichever of the two is farther: the chords there are within 1e-14 of
+    # 2, and only the margin covers their rounding and the haversine's (with
+    # no margin about four queries in ten find no candidate)
     rng = np.random.default_rng(109)
     for _ in range(200):
         cell = GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0))
         grid = PopulationGrid([Cell(cell, 1.0)])
         tiles = grid._tiles
         c = _unit(math.radians(cell.lat_deg), math.radians(cell.lon_deg))
-        t = _unit(tiles.lat_rad[0], tiles.lon_rad[0])
+        t = tiles.centre[0]
         for far, near in ((c, t), (t, c)):
             toward = near - near.dot(far) * far
             angle = math.pi - rng.uniform(0.0, 2e-5)
