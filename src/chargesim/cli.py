@@ -54,7 +54,7 @@ from .fixtures import (
     write_population_csv,
 )
 from .geo import GeoPoint
-from .network import AC, DC, ChargeNetwork, ChargePoint, add_colocated_redundancy
+from .network import add_colocated_redundancy
 # unused here; perfbench's tracer wraps ledgers through cli.ReservationLedger
 from .reservations import ReservationLedger  # noqa: F401
 from .router import RoutePlan, Unroutable, average_trip_speed
@@ -198,6 +198,7 @@ def cmd_simulate(ns) -> int:
     outputs = []
 
     if dump:
+        cfg = dataclasses.replace(cfg, n_ev=sizes[0])
         total = ScenarioMetrics(n_ev=cfg.n_ev, thresholds=tuple(cfg.speed_thresholds_kph))
         route_lines: list[str] = []
         ledger_lines = ["replicate,cp_id,ev_id,start_h,end_h"]
@@ -368,16 +369,6 @@ class _Report:
         print(f"  {label:<42s} computed {computed:<12.6g} {note}")
 
 
-def _counting_network(n_dc: int, n_ac: int) -> ChargeNetwork:
-    # geometry is irrelevant to the cost model, only the kind counts matter
-    pts = []
-    for i in range(n_dc):
-        pts.append(ChargePoint(f"d{i}", GeoPoint(0.0, -179.0 + i * 1e-3), DC, 50.0))
-    for i in range(n_ac):
-        pts.append(ChargePoint(f"a{i}", GeoPoint(1.0, -179.0 + i * 1e-3), AC, 22.0))
-    return ChargeNetwork(pts)
-
-
 def cmd_validate(ns) -> int:
     sections = [s for s in ("ev_math", "cost", "dist") if getattr(ns, s)]
     if not sections:
@@ -401,8 +392,10 @@ def cmd_validate(ns) -> int:
     if "cost" in sections:
         print("infrastructure cost (EUR per user per year):")
         model = InfraCostModel()
-        mixed = _counting_network(72, 636)
-        dc_only = _counting_network(708, 0)
+        # only the point counts enter the cost model
+        anchor = GeoPoint(47.0, 8.0)
+        mixed = synthetic_network(anchor, 300.0, 300.0, 72, 636, seed=1)
+        dc_only = synthetic_network(anchor, 300.0, 300.0, 708, 0, seed=2)
         rep.check("72 DC + 636 AC, 36000 users", cost_per_user_eur(model, mixed, 36000), 34.0, 0.1)
         rep.check("708 DC, 36000 users", cost_per_user_eur(model, dc_only, 36000), 165.2, 0.1)
         rep.check("72 DC + 636 AC, 3600 users", cost_per_user_eur(model, mixed, 3600), 340.3, 0.5)

@@ -5,30 +5,31 @@ independent random substream keyed by (seed, replicate, trip index), so a
 trip is identical whether the fleet holds 100 or 100000 vehicles: fleets of
 different sizes share a common prefix of trips, which makes capacity curves
 smooth in n_ev and congestion effects attributable to fleet size alone.
-Vehicles are planned and committed in a seeded uniformly random order
-(each trip carries a priority drawn from its own substream).
+Vehicles are planned and committed in a seeded uniformly random order:
+each trip carries a priority, the first draw of its own substream, and
+trips are processed by (priority, ev_id).
 
 Searches over fleet size (capacity_search, run_scenario_grid) sample each
 trip once per replicate: a TripStream per (seed, replicate) holds the
-trips drawn so far and extends on demand, and the fleet of n is its first n
-trips sorted by (priority, i), exactly sample_trip_batch's order. The
-replicates of one search run on one runner: in this process with one
-worker, otherwise in one process pool whose workers each receive the grid,
-network and trip length table once, through the pool's initializer, and
-keep their own streams; each task carries only (cfg, replicate).
+trips drawn so far in that order and extends on demand, and the fleet of n
+is its trips below n, exactly sample_trip_batch's. Each search opens one
+runner for all its replicates: in this process with one worker, otherwise
+one process pool whose workers each receive the grid, network and trip
+length table once, through the pool's initializer, and keep their own
+streams; each task carries only (cfg, replicate).
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import os
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import AbstractContextManager, contextmanager, nullcontext
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -137,8 +138,10 @@ def sample_trip(
     rng: np.random.Generator,
     ev_id: int,
 ) -> TripRequest:
-    """One trip: weighted origin, then a length whose destination ring is
-    populated. Empty rings resample the length, never the origin."""
+    """One trip: a processing priority, the substream's first draw, then a
+    weighted origin, then a length whose destination ring is populated.
+    Empty rings resample the length, never the origin."""
+    priority = rng.random()
     origin = sample_origin(grid, rng)
     for _ in range(MAX_TRIP_LENGTH_DRAWS):
         trip_km = dist.sample(rng)
@@ -146,7 +149,7 @@ def sample_trip(
             dest = sample_destination(grid, origin, trip_km, rng)
         except RingEmpty:
             continue
-        return TripRequest(ev_id=ev_id, origin=origin, destination=dest)
+        return TripRequest(ev_id=ev_id, origin=origin, destination=dest, priority=priority)
     raise DataError(
         f"no destination found for origin near {origin} after {MAX_TRIP_LENGTH_DRAWS} trip lengths"
     )
@@ -154,6 +157,10 @@ def sample_trip(
 
 def _trip_rng(seed: int, replicate: int, i: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate, i)))
+
+
+def _processing_order(trip: TripRequest) -> tuple[float, int]:
+    return trip.priority, trip.ev_id
 
 
 def sample_trip_batch(
@@ -167,25 +174,20 @@ def sample_trip_batch(
 ) -> list[TripRequest]:
     """Trips start to n-1 in processing order.
 
-    Each trip draws from SeedSequence(seed, (replicate, i)) and carries a
-    priority from the same substream; sorting by priority yields a uniform
-    random processing order that interleaves consistently as n grows.
+    Trip i draws from SeedSequence(seed, (replicate, i)), priority first;
+    sorting by (priority, i) yields a uniform random processing order that
+    interleaves consistently as n grows.
     """
-    out = []
-    for i in range(start, n):
-        rng = _trip_rng(seed, replicate, i)
-        priority = rng.random()
-        out.append((priority, i, sample_trip(grid, dist, rng, ev_id=i)))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return [req for _, _, req in out]
+    trips = [
+        sample_trip(grid, dist, _trip_rng(seed, replicate, i), ev_id=i) for i in range(start, n)
+    ]
+    trips.sort(key=_processing_order)
+    return trips
 
 
 class TripStream:
     """The trips of one (seed, replicate), each sampled once and extended on
-    demand through sample_trip_batch. Merging a new batch into the trips
-    held draws each one's priority again, the first draw of its substream:
-    about 20 us a trip, where sampling one takes about 200 us on a 61k-cell
-    grid (a shared 2-core host)."""
+    demand through sample_trip_batch."""
 
     def __init__(
         self, grid: PopulationGrid, dist: TripLengthDistribution, seed: int, replicate: int
@@ -193,18 +195,16 @@ class TripStream:
         self.grid, self.dist, self.seed, self.replicate = grid, dist, seed, replicate
         self._trips: list[TripRequest] = []  # every trip drawn, in processing order
 
-    def _order(self, trip: TripRequest) -> tuple[float, int]:
-        return _trip_rng(self.seed, self.replicate, trip.ev_id).random(), trip.ev_id
-
     def fleet(self, n: int) -> list[TripRequest]:
         """sample_trip_batch(grid, dist, seed, replicate, n): trips 0 to n-1
         in processing order."""
         start = len(self._trips)
         if n > start:
-            new = sample_trip_batch(
+            # two sorted runs, which the sort merges in linear time
+            self._trips += sample_trip_batch(
                 self.grid, self.dist, self.seed, self.replicate, n, start=start
             )
-            self._trips = list(heapq.merge(self._trips, new, key=self._order)) if start else new
+            self._trips.sort(key=_processing_order)
         return [t for t in self._trips if t.ev_id < n]
 
 
@@ -286,11 +286,6 @@ def _run_in_worker(cfg: ScenarioConfig, replicate: int) -> Replicate:
     return _worker.run(cfg, replicate)
 
 
-def _worker_count(cfg: ScenarioConfig) -> int:
-    threads = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
-    return min(threads, cfg.replicates)
-
-
 class _Runner:
     """Runs replicates on one set of inputs: in this process with one
     worker, otherwise in a pool whose workers each receive the inputs once,
@@ -303,14 +298,14 @@ class _Runner:
         net: ChargeNetwork,
         dist: TripLengthDistribution,
     ) -> None:
-        self.inputs = (grid, net, dist)
-        self.workers = _worker_count(cfg)
+        threads = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
+        workers = min(threads, cfg.replicates)
         self.local = self.pool = None
-        if self.workers == 1:
+        if workers == 1:
             self.local = _Replicates(grid, net, dist)
         else:
             self.pool = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=_init_worker, initargs=self.inputs
+                max_workers=workers, initializer=_init_worker, initargs=(grid, net, dist)
             )
 
     def __enter__(self) -> "_Runner":
@@ -320,36 +315,14 @@ class _Runner:
         if self.pool is not None:
             self.pool.shutdown()
 
-    def serves(self, cfg: ScenarioConfig, *inputs: object) -> bool:
-        same = all(a is b for a, b in zip(self.inputs, inputs))
-        return same and self.workers == _worker_count(cfg)
-
     def replicates(self, cfg: ScenarioConfig) -> Iterator[Replicate]:
         if self.local is not None:
-            for r in range(cfg.replicates):
-                yield self.local.run(cfg, r)
-        else:
-            futures = [self.pool.submit(_run_in_worker, cfg, r) for r in range(cfg.replicates)]
-            for f in futures:
-                yield f.result()
+            return (self.local.run(cfg, r) for r in range(cfg.replicates))
+        return self.pool.map(_run_in_worker, repeat(cfg), range(cfg.replicates))
 
 
 # the runner shared by the run_replicates calls of one search or fleet grid
 _shared: ContextVar[_Runner | None] = ContextVar("shared_runner", default=None)
-
-
-def _runner(
-    cfg: ScenarioConfig,
-    grid: PopulationGrid,
-    net: ChargeNetwork,
-    dist: TripLengthDistribution,
-) -> AbstractContextManager[_Runner]:
-    """The shared runner if it serves these inputs (the same objects) and
-    worker count, else a new one for this call."""
-    shared = _shared.get()
-    if shared is not None and shared.serves(cfg, grid, net, dist):
-        return nullcontext(shared)
-    return _Runner(cfg, grid, net, dist)
 
 
 @contextmanager
@@ -360,8 +333,10 @@ def _sharing_runner(
     dist: TripLengthDistribution,
 ) -> Iterator[None]:
     """One runner, with its pool and trip streams, for every run_replicates
-    call inside on these inputs. Reentrant."""
-    with _runner(cfg, grid, net, dist) as runner:
+    call inside. Each call must pass the same grid, network and table, and a
+    config that differs from cfg in n_ev alone, so that the inputs and the
+    worker count the runner was opened with hold for it."""
+    with _Runner(cfg, grid, net, dist) as runner:
         token = _shared.set(runner)
         try:
             yield
@@ -378,8 +353,13 @@ def run_replicates(
     """run_replicate's result for every replicate, yielded in replicate
     order. With more than one worker and replicate they run in a process
     pool; the outputs are the same either way, since replicates share no
-    state and every trip stream yields sample_trip_batch's trips."""
-    with _runner(cfg, grid, net, dist) as runner:
+    state and every trip stream yields sample_trip_batch's trips. Inside
+    _sharing_runner they run on its runner, otherwise on one opened here."""
+    shared = _shared.get()
+    if shared is not None:
+        yield from shared.replicates(cfg)
+        return
+    with _Runner(cfg, grid, net, dist) as runner:
         yield from runner.replicates(cfg)
 
 

@@ -19,13 +19,16 @@ from .geo import GeoPoint, offset_km
 from .network import ChargeNetwork, ChargePoint
 from .population import Cell, PopulationGrid
 
+KEEP_FRACTION = 1e-6
+DC_POWER_KW = 50.0
+AC_POWER_KW = 22.0
+
 
 @dataclass(frozen=True)
 class PopulationBlob:
     center_east_km: float
     center_north_km: float
     sigma_km: float
-    weight: float = 1.0
 
 
 def synthetic_population_grid(
@@ -34,13 +37,12 @@ def synthetic_population_grid(
     height_km: int,
     total_population: float,
     blobs: list[PopulationBlob] | None = None,
-    keep_fraction: float = 1e-6,
 ) -> PopulationGrid:
     """Population on a width x height block of 1 km cells.
 
     Cell centres sit at half-km offsets east/north of the anchor. With no
     blobs the density is uniform; otherwise it is the blob mixture, and
-    cells below keep_fraction of the peak are dropped to keep grids small.
+    cells below KEEP_FRACTION of the peak are dropped to keep grids small.
     """
     if width_km < 1 or height_km < 1:
         raise ValueError("grid must be at least 1 km by 1 km")
@@ -55,8 +57,8 @@ def synthetic_population_grid(
         density = np.zeros_like(ee)
         for b in blobs:
             r2 = (ee - b.center_east_km) ** 2 + (nn - b.center_north_km) ** 2
-            density += b.weight * np.exp(-r2 / (2.0 * b.sigma_km**2))
-        keep = density >= keep_fraction * density.max()
+            density += np.exp(-r2 / (2.0 * b.sigma_km**2))
+        keep = density >= KEEP_FRACTION * density.max()
         ee, nn, density = ee[keep], nn[keep], density[keep]
     pops = density * (total_population / density.sum())
     cells = [
@@ -73,8 +75,6 @@ def synthetic_network(
     n_dc: int,
     n_ac: int,
     seed: int,
-    dc_power_kw: float = 50.0,
-    ac_power_kw: float = 22.0,
 ) -> ChargeNetwork:
     """Charge points scattered uniformly over the block, DC first."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -84,7 +84,7 @@ def synthetic_network(
     for i in range(n_dc + n_ac):
         e = rng.uniform(0.0, width_km)
         n = rng.uniform(0.0, height_km)
-        kind, power = (DC, dc_power_kw) if i < n_dc else (AC, ac_power_kw)
+        kind, power = (DC, DC_POWER_KW) if i < n_dc else (AC, AC_POWER_KW)
         points.append(ChargePoint(f"cp{i:0{pad}d}", offset_km(anchor, e, n), kind, power))
     return ChargeNetwork(points)
 

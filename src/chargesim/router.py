@@ -80,6 +80,7 @@ class TripRequest:
     origin: GeoPoint
     destination: GeoPoint
     depart_h: float = 0.0
+    priority: float = 0.0  # processing order among a fleet's trips
 
 
 @dataclass(frozen=True)

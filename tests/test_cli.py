@@ -161,6 +161,15 @@ def test_simulate_dumps(fixture_dir, tmp_path):
     assert all(len(row) == 5 for row in rows)
     assert {row[0] for row in rows} == {"0", "1"}
 
+    # a one-size grid sets the dumped fleet, as it sets the fleet without dumps
+    one_size = ["simulate", "-c", str(fixture_dir / "scenario.cfg"), "--n-ev", "20",
+                "--n-ev-grid", "7"]
+    assert main([*one_size, "--out", str(tmp_path / "one"), "--dump-routes"]) == 0
+    assert main([*one_size, "--out", str(tmp_path / "one-plain")]) == 0
+    assert len((tmp_path / "one" / "routes.jsonl").read_text().splitlines()) == 7
+    metrics = [(tmp_path / d / "metrics.csv").read_bytes() for d in ("one", "one-plain")]
+    assert metrics[0] == metrics[1]
+
     # dumps are per-trip artifacts, so a fleet grid cannot produce them
     rc = main(
         [
@@ -447,7 +456,10 @@ def counting_pools(monkeypatch, **forced):
 @pytest.mark.parametrize("args", [
     ["capacity", "--n-ev", "12", "--target", "0.9"],
     ["simulate", "--n-ev-grid", "5,10"],
-], ids=["capacity", "simulate-grid"])
+    # no search or grid: run_replicates opens the command's one runner
+    ["simulate", "--n-ev", "10", "--dump-routes"],
+    ["faults", "--n-ev", "10", "--masks", "1"],
+], ids=["capacity", "simulate-grid", "simulate-dump", "faults"])
 def test_one_pool_per_command(fixture_dir, tmp_path, monkeypatch, args):
     built = counting_pools(monkeypatch)
     assert main(

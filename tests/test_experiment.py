@@ -97,17 +97,27 @@ def test_trip_stream_matches_batches_in_probe_order(monkeypatch):
     dist = default_trip_distribution()
     sampled = []
     real = experiment.sample_trip_batch
+    expected = {n: real(grid, dist, 9, 2, n) for n in (1, 2, 4, 8, 16, 32, 24, 20, 22, 21)}
 
     def counting(*args, **kwargs):
         batch = real(*args, **kwargs)
         sampled.extend(t.ev_id for t in batch)
         return batch
 
+    substreams = []
+    real_rng = experiment._trip_rng
+
+    def counting_rng(*args):
+        substreams.append(args)
+        return real_rng(*args)
+
     monkeypatch.setattr(experiment, "sample_trip_batch", counting)
+    monkeypatch.setattr(experiment, "_trip_rng", counting_rng)
     stream = TripStream(grid, dist, seed=9, replicate=2)
-    for n in (1, 2, 4, 8, 16, 32, 24, 20, 22, 21):
-        assert stream.fleet(n) == real(grid, dist, 9, 2, n), n
+    for n, batch in expected.items():
+        assert stream.fleet(n) == batch, n
     assert sorted(sampled) == list(range(32))  # each trip index sampled exactly once
+    assert len(substreams) == 32  # and its substream opened once, priorities not re-drawn
 
 
 def test_capacity_probes_match_fresh_replicates():
