@@ -43,11 +43,6 @@ class EvParams:
             raise ValueError(f"route_scale out of (0, 1]: {self.route_scale}")
 
 
-def energy_per_km(p: EvParams) -> float:
-    """Battery energy drawn per km of rated range, kWh/km."""
-    return p.battery_kwh / p.max_range_km
-
-
 def max_leg_km(p: EvParams, from_soc: float, to_soc: float) -> float:
     """Longest point-to-point leg from one state of charge down to another.
 

@@ -5,8 +5,8 @@ routes are replayed against a fault mask: a vehicle drives its plan until
 the first faulty stop, then must finish from there on the charge it
 arrived with. It may spend the reserve (down to empty, never below) and
 must avoid every faulted point. Stranding is a reachability verdict: a
-vehicle is stranded when no sequence of operational points gets it to its
-destination. Reservations never decide it, because the ledger always
+vehicle is stranded when no sequence of points outside the mask gets it to
+its destination. Reservations never decide it, because the ledger always
 yields a slot and a wait never changes whether a trip can finish, so the
 verdict depends on charge alone.
 
@@ -45,12 +45,6 @@ REROUTED = "rerouted"
 STRANDED = "stranded"
 
 
-@dataclass(frozen=True)
-class ReplayOutcome:
-    status: str
-    first_faulty_cp: str | None = None
-
-
 def sample_fault_masks(
     net: ChargeNetwork, p_fs: list[float], rng: np.random.Generator
 ) -> list[frozenset[str]]:
@@ -71,7 +65,7 @@ def can_finish(
     exclude: frozenset[str],
     to_dest: dict[GeoPoint, float],
 ) -> bool:
-    """Whether some sequence of operational, non-excluded points takes a
+    """Whether some sequence of points outside `exclude` takes a
     vehicle at `start` with charge `soc` to the destination, at floor 0.
 
     Points pop in order of their best departure charge. A stop charges to
@@ -94,7 +88,7 @@ def can_finish(
         return True
     while True:
         for d_leg, cp in net.within_radius(loc, reach):
-            if not cp.operational or cp.id in exclude:
+            if cp.id in exclude:
                 continue
             soc_in = soc - soc_drop(ev, d_leg)
             soc_out = soc_in if soc_in >= target else target
@@ -123,21 +117,21 @@ def replay_trip(
     ledger: ReservationLedger,
     cfg: RouterConfig,
     to_dest: dict[GeoPoint, float] | None = None,
-) -> ReplayOutcome:
-    """Drive a committed plan against a fault mask. `to_dest` may carry
-    the km from each location to the plan's destination from one replay
-    to the next."""
+) -> str:
+    """Drive a committed plan against a fault mask: COMPLETED, REROUTED or
+    STRANDED. `to_dest` may carry the km from each location to the plan's
+    destination from one replay to the next."""
     faulty = None
     for s in plan.stops:
         if s.cp_id in mask:
             faulty = s
             break
     if faulty is None:
-        return ReplayOutcome(COMPLETED)
+        return COMPLETED
     here = net.by_id[faulty.cp_id].location
     if can_finish(here, faulty.soc_in, plan.destination, net, cfg.ev, mask,
                   {} if to_dest is None else to_dest):
-        return ReplayOutcome(REROUTED, faulty.cp_id)
+        return REROUTED
     # the router confirms the stranding; reroutes honour existing
     # reservations even when the original plan was made blind
     req = TripRequest(plan.ev_id, here, plan.destination, depart_h=faulty.arrival_h)
@@ -148,7 +142,7 @@ def replay_trip(
         exclude=mask,
         ignore_ev=plan.ev_id,
     )
-    return ReplayOutcome(STRANDED if isinstance(replan, Unroutable) else REROUTED, faulty.cp_id)
+    return STRANDED if isinstance(replan, Unroutable) else REROUTED
 
 
 def estimate_ps_first_order(p_c: float, p_f: float, n_isolated: int, n_total: int) -> float:
@@ -225,8 +219,7 @@ def run_fault_sweep(
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(m,)))
         for p_f, mask in zip(grid, sample_fault_masks(net, grid, rng)):
             for k in sorted({k for pid in mask for k in stopping.get(pid, ())}):
-                out = replay_trip(charging[k], mask, net, ledger, cfg, to_dest[k])
-                if out.status == STRANDED:
+                if replay_trip(charging[k], mask, net, ledger, cfg, to_dest[k]) == STRANDED:
                     stranded[p_f] += 1
     trips = (len(plans) + n_unroutable) * n_masks
     return [

@@ -17,7 +17,7 @@ import numpy as np
 from .ev import AC, DC
 from .geo import GeoPoint, offset_km
 from .network import ChargeNetwork, ChargePoint
-from .population import Cell, PopulationGrid
+from .population import PopulationGrid
 
 KEEP_FRACTION = 1e-6
 DC_POWER_KW = 50.0
@@ -60,12 +60,12 @@ def synthetic_population_grid(
             density += np.exp(-r2 / (2.0 * b.sigma_km**2))
         keep = density >= KEEP_FRACTION * density.max()
         ee, nn, density = ee[keep], nn[keep], density[keep]
-    pops = density * (total_population / density.sum())
-    cells = [
-        Cell(offset_km(anchor, float(e), float(n)), float(p))
-        for e, n, p in zip(ee, nn, pops)
-    ]
-    return PopulationGrid(cells)
+    centres = [offset_km(anchor, float(e), float(n)) for e, n in zip(ee, nn)]
+    return PopulationGrid(
+        [c.lat_deg for c in centres],
+        [c.lon_deg for c in centres],
+        density * (total_population / density.sum()),
+    )
 
 
 def synthetic_network(
@@ -93,8 +93,8 @@ def write_population_csv(grid: PopulationGrid, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["lat", "lon", "population"])
-        for c in grid.cells:
-            w.writerow([f"{c.center.lat_deg:.8f}", f"{c.center.lon_deg:.8f}", f"{c.population:.6g}"])
+        for lat, lon, pop in zip(grid.lat_deg.tolist(), grid.lon_deg.tolist(), grid.population.tolist()):
+            w.writerow([f"{lat:.8f}", f"{lon:.8f}", f"{pop:.6g}"])
 
 
 def write_network_csv(net: ChargeNetwork, path) -> None:

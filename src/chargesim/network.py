@@ -40,7 +40,6 @@ class ChargePoint:
     location: GeoPoint
     kind: str
     power_kw: float
-    operational: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:

@@ -44,33 +44,32 @@ class RingEmpty(LookupError):
     """No populated cell at the requested distance; resample the trip length."""
 
 
-@dataclass(frozen=True)
-class Cell:
-    center: GeoPoint
-    population: float
-
-
-@dataclass
+@dataclass(eq=False)
 class PopulationGrid:
-    cells: list[Cell]
+    """The cells as three arrays, one entry per cell: the centre's latitude
+    and longitude, degrees, and the population."""
+
+    lat_deg: np.ndarray
+    lon_deg: np.ndarray
+    population: np.ndarray
     _lat_rad: np.ndarray = field(init=False, repr=False)
     _lon_rad: np.ndarray = field(init=False, repr=False)
-    _pops: np.ndarray = field(init=False, repr=False)
     _cum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.cells:
+        self.lat_deg = np.asarray(self.lat_deg, dtype=float)
+        self.lon_deg = np.asarray(self.lon_deg, dtype=float)
+        pops = self.population = np.asarray(self.population, dtype=float)
+        if not len(pops):
             raise DataError("population grid has no cells")
-        pops = np.array([c.population for c in self.cells], dtype=float)
         if not np.all(np.isfinite(pops)):
             raise DataError("population not finite")
         if np.any(pops < 0):
             raise DataError("negative population")
         if pops.sum() <= 0:
             raise DataError("total population is zero")
-        self._lat_rad = np.radians([c.center.lat_deg for c in self.cells])
-        self._lon_rad = np.radians([c.center.lon_deg for c in self.cells])
-        self._pops = pops
+        self._lat_rad = np.radians(self.lat_deg)
+        self._lon_rad = np.radians(self.lon_deg)
         self._cum = np.cumsum(pops)
 
     @property
@@ -78,7 +77,7 @@ class PopulationGrid:
         return float(self._cum[-1])
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.population)
 
     def __getstate__(self) -> dict:
         # the ring index is rebuilt on first use rather than pickled
@@ -193,7 +192,9 @@ def load_population_csv(path) -> PopulationGrid:
 
     Raises DataError with the offending line number on malformed rows.
     """
-    cells: list[Cell] = []
+    lats: list[float] = []
+    lons: list[float] = []
+    pops: list[float] = []
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -219,15 +220,19 @@ def load_population_csv(path) -> PopulationGrid:
             if pop < 0:
                 raise DataError(f"{path}: line {lineno}: negative population {pop}")
             try:
+                # range-checks the latitude and normalises the longitude
                 center = GeoPoint(lat, lon)
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            cells.append(Cell(center, pop))
-    return PopulationGrid(cells)
+            lats.append(center.lat_deg)
+            lons.append(center.lon_deg)
+            pops.append(pop)
+    return PopulationGrid(lats, lons, pops)
 
 
-def _jitter_within_cell(center: GeoPoint, rng: np.random.Generator) -> GeoPoint:
+def _jitter_within_cell(grid: PopulationGrid, idx: int, rng: np.random.Generator) -> GeoPoint:
     # uniform over the cell's km square; the grid is 1 km cells
+    center = GeoPoint(float(grid.lat_deg[idx]), float(grid.lon_deg[idx]))
     east = rng.uniform(-CELL_KM / 2.0, CELL_KM / 2.0)
     north = rng.uniform(-CELL_KM / 2.0, CELL_KM / 2.0)
     return offset_km(center, east, north)
@@ -241,7 +246,7 @@ def sample_origin_cell(grid: PopulationGrid, rng: np.random.Generator) -> int:
 
 def sample_origin(grid: PopulationGrid, rng: np.random.Generator) -> GeoPoint:
     idx = sample_origin_cell(grid, rng)
-    return _jitter_within_cell(grid.cells[idx].center, rng)
+    return _jitter_within_cell(grid, idx, rng)
 
 
 def sample_destination(
@@ -270,13 +275,12 @@ def sample_destination(
         if not mask.any():
             continue
         ring = cand[mask]
-        weights = grid._pops[ring]
+        weights = grid.population[ring]
         total = weights.sum()
         if total <= 0:
             continue
         cum = np.cumsum(weights)
         u = rng.random() * total
         pick = int(np.searchsorted(cum, u, side="right"))
-        idx = int(ring[pick])
-        return _jitter_within_cell(grid.cells[idx].center, rng)
+        return _jitter_within_cell(grid, int(ring[pick]), rng)
     raise RingEmpty(f"no populated cell within {RING_HALF_WIDTHS[-1]} km of ring at {trip_km:.1f} km")

@@ -11,8 +11,8 @@ before departing. The planner searches stop sequences with a goal-directed
     parent label and the stop that made it (leg km, arrival, slot start,
     arrival charge); legs and stops are read off the winning label's
     parent chain;
-  * a label extends to every operational charge point reachable on its
-    charge;
+  * a label extends to every charge point reachable on its charge, save
+    the excluded ones (a fault mask);
   * in reservation-aware mode the wait at a point comes from the ledger's
     earliest free slot; reservation-blind planning assumes zero wait and
     discovers the real queue only at commit time;
@@ -27,10 +27,10 @@ before departing. The planner searches stop sequences with a goal-directed
   * a trip that pops over MAX_LABELS labels before it finds an arrival is
     unroutable; once an arrival is known, the A* stop bounds the search,
     so every search ends in bounded time;
-  * a trip that needs a charge is unroutable at once when no usable point
-    lies within reach of the destination: no label departs with more
-    charge than the larger of its initial charge and the charge target, so
-    no last leg is longer than that charge's span.
+  * a trip that needs a charge is unroutable at once when no point outside
+    the exclude set lies within reach of the destination: no label departs
+    with more charge than the larger of its initial charge and the charge
+    target, so no last leg is longer than that charge's span.
 
 Ties on arrival break toward fewer stops, then the lexicographically
 smallest stop-id sequence, so plans are deterministic.
@@ -191,8 +191,7 @@ def plan_route(
     # the exit test (see above); the slack covers the radius query measuring
     # from the destination where a last leg measures to it
     reach = span_km(ev, max(initial_soc, ev.charge_target_soc), floor) + BOUND_SLACK_KM
-    if not any(cp.operational and cp.id not in exclude
-               for _, cp in net.within_radius(req.destination, reach)):
+    if not any(cp.id not in exclude for _, cp in net.within_radius(req.destination, reach)):
         return Unroutable(req.ev_id, NO_ROUTE, direct)
 
     # A* over labels (f, dep, n_stops, seq, soc, loc, d_dest, parent, d_leg,
@@ -227,7 +226,7 @@ def plan_route(
             # inequality, so skip the extensions
             continue
         for d_leg, cp in net.within_radius(loc, span_km(ev, soc, floor)):
-            if not cp.operational or cp.id in exclude:
+            if cp.id in exclude:
                 continue
             d_cp = to_dest.get(cp.id)
             if d_cp is None:

@@ -26,7 +26,6 @@ from chargesim.geo import GeoPoint, distance_km, offset_km
 from chargesim.network import ChargeNetwork, ChargePoint
 from chargesim.population import (
     RING_HALF_WIDTHS,
-    Cell,
     PopulationGrid,
     RingEmpty,
     _jitter_within_cell,
@@ -74,7 +73,7 @@ def enumerate_best(
     def span(soc: float) -> float:
         return max(0.0, soc - floor) * ev.max_range_km * ev.route_scale
 
-    usable = [p for p in net.points if p.operational and p.id not in exclude]
+    usable = [p for p in net.points if p.id not in exclude]
     best = None
 
     def extend(loc, soc, dep, seq):
@@ -308,16 +307,22 @@ def full_scan_sample_destination(
         mask = np.abs(d - trip_km) <= w
         if not mask.any():
             continue
-        weights = grid._pops[mask]
+        weights = grid.population[mask]
         total = weights.sum()
         if total <= 0:
             continue
         cum = np.cumsum(weights)
         u = rng.random() * total
         pick = int(np.searchsorted(cum, u, side="right"))
-        idx = int(np.flatnonzero(mask)[pick])
-        return _jitter_within_cell(grid.cells[idx].center, rng)
+        return _jitter_within_cell(grid, int(np.flatnonzero(mask)[pick]), rng)
     raise RingEmpty(f"no populated cell within {RING_HALF_WIDTHS[-1]} km of ring at {trip_km:.1f} km")
+
+
+def grid_of(cells: list[tuple[GeoPoint, float]]) -> PopulationGrid:
+    """A grid of (centre, population) pairs, in order."""
+    return PopulationGrid(
+        [c.lat_deg for c, _ in cells], [c.lon_deg for c, _ in cells], [pop for _, pop in cells]
+    )
 
 
 def meridian_grid() -> PopulationGrid:
@@ -325,8 +330,7 @@ def meridian_grid() -> PopulationGrid:
     length up to the support edge finds a destination ring, so the sampled
     lengths follow the trip distribution essentially untruncated."""
     anchor = GeoPoint(0.0, 5.0)
-    cells = [Cell(offset_km(anchor, 0.0, k - 2100.0), 1.0) for k in range(4200)]
-    return PopulationGrid(cells)
+    return grid_of([(offset_km(anchor, 0.0, k - 2100.0), 1.0) for k in range(4200)])
 
 
 def twoblob_fixture():
@@ -365,9 +369,7 @@ def capacity_fixture():
     capacity at a sub-percent below-60 target is exactly one.
     """
     anchor = GeoPoint(0.0, 40.0)
-    grid = PopulationGrid(
-        [Cell(anchor, 1.0), Cell(offset_km(anchor, 80.0, 0.0), 1.0)]
-    )
+    grid = grid_of([(anchor, 1.0), (offset_km(anchor, 80.0, 0.0), 1.0)])
     net = ChargeNetwork([ChargePoint("mid", offset_km(anchor, 40.0, 0.0), "AC", 22.0)])
     dist = TripLengthDistribution(b=0.2, upper_km=90.0)
     return grid, net, dist

@@ -10,7 +10,6 @@ from chargesim.ev import (
     charge_duration_h,
     effective_charge_kw,
     effective_speed_kph,
-    energy_per_km,
     max_leg_km,
     soc_drop,
 )
@@ -72,10 +71,6 @@ def test_soc_drop_inverts_max_leg(leg):
     # driving the longest leg from full must land exactly on the reserve
     drop = soc_drop(EV, leg)
     assert max_leg_km(EV, 1.0, 1.0 - drop) == pytest.approx(leg, abs=1e-9)
-
-
-def test_energy_per_km():
-    assert energy_per_km(EV) == pytest.approx(0.21818181818181817, abs=1e-15)
 
 
 def test_effective_charge_power_limits():

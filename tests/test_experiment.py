@@ -21,11 +21,11 @@ from chargesim.experiment import (
 )
 from chargesim.geo import GeoPoint, distance_km, offset_km
 from chargesim.network import ChargeNetwork, ChargePoint
-from chargesim.population import Cell, PopulationGrid
+from chargesim.population import PopulationGrid
 from chargesim.stats import Z_95, wilson_interval, wilson_upper
 from chargesim.triplength import default_trip_distribution
 
-from helpers import capacity_fixture
+from helpers import capacity_fixture, grid_of
 
 ANCHOR = GeoPoint(0.0, 50.0)
 
@@ -54,9 +54,7 @@ def test_cost_validation():
 
 
 def line_grid(length_km: int = 200) -> PopulationGrid:
-    return PopulationGrid(
-        [Cell(offset_km(ANCHOR, float(i), 0.0), 1.0) for i in range(length_km + 1)]
-    )
+    return grid_of([(offset_km(ANCHOR, float(i), 0.0), 1.0) for i in range(length_km + 1)])
 
 
 def line_net() -> ChargeNetwork:

@@ -19,8 +19,7 @@ def test_uniform_grid():
     g = synthetic_population_grid(ANCHOR, 10, 6, 6000.0)
     assert len(g) == 60
     assert g.total_population == pytest.approx(6000.0, rel=1e-12)
-    pops = [c.population for c in g.cells]
-    assert max(pops) == pytest.approx(min(pops), rel=1e-12)
+    assert g.population.max() == pytest.approx(g.population.min(), rel=1e-12)
 
 
 def test_blob_grid_concentrates_mass():
@@ -28,7 +27,7 @@ def test_blob_grid_concentrates_mass():
     g = synthetic_population_grid(ANCHOR, 10, 10, 1000.0, [blob])
     assert g.total_population == pytest.approx(1000.0, rel=1e-12)
     peak = offset_km(ANCHOR, 5.0, 5.0)
-    near = sum(c.population for c in g.cells if distance_km(c.center, peak) < 3.0)
+    near = g.population[g.distances_from(peak) < 3.0].sum()
     assert near > 0.8 * g.total_population
     # far tail cells fall below the keep threshold and are dropped
     assert len(g) < 100
@@ -61,9 +60,7 @@ def test_csv_round_trip(tmp_path):
     g2 = load_population_csv(pop_path)
     assert len(g2) == len(g)
     assert g2.total_population == pytest.approx(g.total_population, rel=1e-5)
-    assert np.allclose(
-        [c.population for c in g2.cells], [c.population for c in g.cells], rtol=1e-5
-    )
+    assert np.allclose(g2.population, g.population, rtol=1e-5)
 
     net2 = load_network_csv(net_path)
     assert sorted(net2.by_id) == sorted(net.by_id)

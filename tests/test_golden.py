@@ -19,6 +19,8 @@ GOLDEN = {
     "routes.jsonl": "b303e71baef172c8e3daefee6ca1b23df8f50de6b12cbfece7ea2d208f0056a9",
     "ledger.csv": "c8c30ee791cdd4aade1280843559ede48bd6e69c4465822a046b5613d13ff908",
     "faults.csv": "b46e78d670f34ccf14a5bd3decc52e02e4c3c8634d47bd5b1695e46357f91b4b",
+    "population.csv": "632688eca43ccbf34bc0b26085b2498cc7ab6ccfe6fcc0e8688f7b001cb229f4",
+    "network.csv": "76ea7cd319fe0438c074890713f85bc4c740d1e0d45a305c93710b36555bfc31",
 }
 
 
@@ -52,6 +54,8 @@ def golden_outputs(tmp_path_factory):
         "routes.jsonl": d / "sim" / "routes.jsonl",
         "ledger.csv": d / "sim" / "ledger.csv",
         "faults.csv": d / "faults" / "faults.csv",
+        "population.csv": fx / "population.csv",
+        "network.csv": fx / "network.csv",
     }
 
 

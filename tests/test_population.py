@@ -10,7 +10,6 @@ from chargesim.geo import EARTH_RADIUS_KM, GeoPoint, distance_km, offset_km
 from chargesim.population import (
     RING_HALF_WIDTHS,
     _TILE_MARGIN_KM,
-    Cell,
     PopulationGrid,
     RingEmpty,
     load_population_csv,
@@ -19,33 +18,32 @@ from chargesim.population import (
     sample_origin_cell,
 )
 from chargesim.triplength import default_trip_distribution
-from helpers import full_scan_sample_destination, meridian_grid
+from helpers import full_scan_sample_destination, grid_of, meridian_grid
 
 ANCHOR = GeoPoint(0.0, 12.0)
 
 
 def small_grid():
-    return PopulationGrid(
-        [
-            Cell(ANCHOR, 1.0),
-            Cell(offset_km(ANCHOR, 10.0, 0.0), 3.0),
-        ]
-    )
+    return grid_of([(ANCHOR, 1.0), (offset_km(ANCHOR, 10.0, 0.0), 3.0)])
+
+
+def _centre(grid, i):
+    return GeoPoint(float(grid.lat_deg[i]), float(grid.lon_deg[i]))
 
 
 def test_grid_validation():
     with pytest.raises(DataError):
-        PopulationGrid([])
+        grid_of([])
     with pytest.raises(DataError):
-        PopulationGrid([Cell(ANCHOR, -1.0)])
+        grid_of([(ANCHOR, -1.0)])
     with pytest.raises(DataError):
-        PopulationGrid([Cell(ANCHOR, 0.0)])
+        grid_of([(ANCHOR, 0.0)])
 
 
 @pytest.mark.parametrize("pop", [math.nan, math.inf])
 def test_population_must_be_finite(pop, tmp_path):
     with pytest.raises(DataError, match="finite"):
-        PopulationGrid([Cell(ANCHOR, 1.0), Cell(ANCHOR, pop)])
+        grid_of([(ANCHOR, 1.0), (ANCHOR, pop)])
     path = tmp_path / "pop.csv"
     path.write_text(f"lat,lon,population\n0,12,1\n0,12.01,{pop}\n")
     with pytest.raises(DataError, match="line 3"):
@@ -62,7 +60,7 @@ def test_distances_from_matches_scalar_haversine():
     g = small_grid()
     probe = offset_km(ANCHOR, 3.0, 4.0)
     got = g.distances_from(probe)
-    want = [distance_km(probe, c.center) for c in g.cells]
+    want = [distance_km(probe, _centre(g, i)) for i in range(len(g))]
     assert np.allclose(got, want, atol=1e-9)
 
 
@@ -79,19 +77,18 @@ def test_origin_weights_converge():
 
 def test_origin_weights_chi_square():
     # ten cells with weights 1..10; chi-square on 100k draws at alpha=0.01
-    cells = [Cell(offset_km(ANCHOR, 2.0 * i, 0.0), float(i + 1)) for i in range(10)]
-    g = PopulationGrid(cells)
+    g = grid_of([(offset_km(ANCHOR, 2.0 * i, 0.0), float(i + 1)) for i in range(10)])
     rng = np.random.default_rng(11)
     n = 100_000
     counts = np.bincount([sample_origin_cell(g, rng) for _ in range(n)], minlength=10)
-    expected = g._pops / g.total_population * n
+    expected = g.population / g.total_population * n
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     # chi-square 0.99 quantile with 9 degrees of freedom
     assert chi2 < 21.666
 
 
 def test_origin_jitter_stays_in_cell():
-    g = PopulationGrid([Cell(ANCHOR, 5.0)])
+    g = grid_of([(ANCHOR, 5.0)])
     rng = np.random.default_rng(3)
     half_diag = math.sqrt(0.5)
     for _ in range(500):
@@ -101,31 +98,31 @@ def test_origin_jitter_stays_in_cell():
 
 def test_destination_picks_the_only_ring_cell():
     cells = [
-        Cell(ANCHOR, 1.0),
-        Cell(offset_km(ANCHOR, 40.0, 0.0), 1.0),
-        Cell(offset_km(ANCHOR, 200.0, 0.0), 1.0),
+        (ANCHOR, 1.0),
+        (offset_km(ANCHOR, 40.0, 0.0), 1.0),
+        (offset_km(ANCHOR, 200.0, 0.0), 1.0),
     ]
-    g = PopulationGrid(cells)
+    g = grid_of(cells)
     rng = np.random.default_rng(5)
     for _ in range(50):
         dest = sample_destination(g, ANCHOR, 40.0, rng)
-        assert distance_km(dest, cells[1].center) <= math.sqrt(0.5) + 1e-6
+        assert distance_km(dest, cells[1][0]) <= math.sqrt(0.5) + 1e-6
 
 
 def test_destination_respects_ring_weights():
     # two candidate cells on the 50 km ring, weights 2:3
     cells = [
-        Cell(ANCHOR, 1.0),
-        Cell(offset_km(ANCHOR, 50.0, 0.0), 2.0),
-        Cell(offset_km(ANCHOR, 0.0, 50.0), 3.0),
+        (ANCHOR, 1.0),
+        (offset_km(ANCHOR, 50.0, 0.0), 2.0),
+        (offset_km(ANCHOR, 0.0, 50.0), 3.0),
     ]
-    g = PopulationGrid(cells)
+    g = grid_of(cells)
     rng = np.random.default_rng(17)
     n = 20_000
     hits_north = 0
     for _ in range(n):
         dest = sample_destination(g, ANCHOR, 50.0, rng)
-        if distance_km(dest, cells[2].center) < 2.0:
+        if distance_km(dest, cells[2][0]) < 2.0:
             hits_north += 1
     frac = hits_north / n
     sigma = math.sqrt(0.6 * 0.4 / n)
@@ -135,17 +132,17 @@ def test_destination_respects_ring_weights():
 def test_destination_ring_widens_before_failing():
     # nearest cell is 3.4 km off the requested ring: inside the widest
     # half-width but outside all narrower ones
-    cells = [Cell(ANCHOR, 1.0), Cell(offset_km(ANCHOR, 43.4, 0.0), 1.0)]
-    g = PopulationGrid(cells)
+    cells = [(ANCHOR, 1.0), (offset_km(ANCHOR, 43.4, 0.0), 1.0)]
+    g = grid_of(cells)
     rng = np.random.default_rng(23)
     dest = sample_destination(g, ANCHOR, 40.0, rng)
-    assert distance_km(dest, cells[1].center) <= math.sqrt(0.5) + 1e-6
+    assert distance_km(dest, cells[1][0]) <= math.sqrt(0.5) + 1e-6
     assert 3.4 > RING_HALF_WIDTHS[-2]
     assert 3.4 <= RING_HALF_WIDTHS[-1]
 
 
 def test_destination_ring_empty():
-    g = PopulationGrid([Cell(ANCHOR, 1.0)])
+    g = grid_of([(ANCHOR, 1.0)])
     rng = np.random.default_rng(29)
     with pytest.raises(RingEmpty):
         sample_destination(g, ANCHOR, 500.0, rng)
@@ -153,12 +150,11 @@ def test_destination_ring_empty():
 
 def test_destination_jitter_bound():
     # destination lies within ring half-width plus the cell half-diagonal
-    cells = [Cell(ANCHOR, 1.0)] + [
-        Cell(offset_km(ANCHOR, 30.0 + de, dn), 1.0)
+    g = grid_of([(ANCHOR, 1.0)] + [
+        (offset_km(ANCHOR, 30.0 + de, dn), 1.0)
         for de in (-0.4, 0.0, 0.4)
         for dn in (-0.4, 0.0, 0.4)
-    ]
-    g = PopulationGrid(cells)
+    ])
     rng = np.random.default_rng(31)
     bound = RING_HALF_WIDTHS[0] + math.sqrt(0.5) + 1e-6
     for _ in range(200):
@@ -173,14 +169,14 @@ def _random_grid(rng):
     span = 10.0 ** rng.uniform(0.5, 3.5)
     n = int(rng.integers(1, 200))
     cells = [
-        Cell(
+        (
             offset_km(anchor, *rng.uniform(-span / 2.0, span / 2.0, 2)),
             0.0 if rng.random() < 0.2 else float(rng.integers(1, 1000)),
         )
         for _ in range(n)
     ]
-    cells[0] = Cell(cells[0].center, 1.0)
-    return PopulationGrid(cells), anchor, span
+    cells[0] = (cells[0][0], 1.0)
+    return grid_of(cells), anchor, span
 
 
 def _edge_trip(d, w, side):
@@ -216,7 +212,7 @@ def test_destination_matches_full_scan_oracle():
         if case % 4 == 0:  # off the grid, up to a few thousand km away
             origin = offset_km(anchor, *rng.uniform(-3000.0, 3000.0, 2))
         else:
-            origin = offset_km(grid.cells[int(rng.integers(len(grid)))].center,
+            origin = offset_km(_centre(grid, int(rng.integers(len(grid)))),
                                *rng.uniform(-0.5, 0.5, 2))
         d = grid.distances_from(origin)
         trips = [0.0, rng.uniform(0.0, 2000.0), rng.uniform(0.0, 2.0 * span)]
@@ -248,9 +244,9 @@ def test_destination_matches_full_scan_across_the_antipode():
     anchor = GeoPoint(20.0, 30.0)
     far = GeoPoint(-20.0, -150.0)
     rng = np.random.default_rng(103)
-    cells = [Cell(offset_km(far, *rng.uniform(-8.0, 8.0, 2)), 1.0) for _ in range(50)]
-    cells += [Cell(offset_km(anchor, *rng.uniform(-50.0, 50.0, 2)), 1.0) for _ in range(50)]
-    grid = PopulationGrid(cells)
+    cells = [(offset_km(far, *rng.uniform(-8.0, 8.0, 2)), 1.0) for _ in range(50)]
+    cells += [(offset_km(anchor, *rng.uniform(-50.0, 50.0, 2)), 1.0) for _ in range(50)]
+    grid = grid_of(cells)
     half = math.pi * EARTH_RADIUS_KM
     for trip_km in np.linspace(half - 15.0, half + 5.0, 41):
         seed = int(rng.integers(2**32))
@@ -269,7 +265,7 @@ def test_ring_candidates_cover_the_ring():
     pruned = past_antipode = 0
     for case in range(300):
         grid, anchor, span = _random_grid(rng)
-        near = offset_km(grid.cells[int(rng.integers(len(grid)))].center,
+        near = offset_km(_centre(grid, int(rng.integers(len(grid)))),
                          *rng.uniform(-0.5, 0.5, 2))
         if case % 3 == 0:  # anywhere on the sphere
             origin = GeoPoint(math.degrees(math.asin(rng.uniform(-1.0, 1.0))),
@@ -304,7 +300,7 @@ def test_ring_candidates_are_the_ring_plus_the_slack():
     in_slack = past_antipode = 0
     for case in range(300):
         grid, _, span = _random_grid(rng)
-        cell = grid.cells[int(rng.integers(len(grid)))].center
+        cell = _centre(grid, int(rng.integers(len(grid))))
         if case % 3 == 0:  # anywhere on the sphere
             origin = GeoPoint(math.degrees(math.asin(rng.uniform(-1.0, 1.0))),
                               rng.uniform(-180.0, 180.0))
@@ -347,7 +343,7 @@ def test_ring_candidates_margin_covers_antipodal_rounding():
     rng = np.random.default_rng(109)
     for _ in range(200):
         cell = GeoPoint(rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0))
-        grid = PopulationGrid([Cell(cell, 1.0)])
+        grid = grid_of([(cell, 1.0)])
         tiles = grid._tiles
         c = _unit(math.radians(cell.lat_deg), math.radians(cell.lon_deg))
         t = tiles.centre[0]
@@ -369,7 +365,10 @@ def test_distances_from_subset_matches_full_scan(n):
     # vector loops' tails round as their bodies do
     rng = np.random.default_rng(n)
     grid, anchor, _ = _random_grid(rng)
-    grid = PopulationGrid(grid.cells * (1 + 1000 // len(grid)))
+    k = 1 + 1000 // len(grid)
+    grid = PopulationGrid(
+        np.tile(grid.lat_deg, k), np.tile(grid.lon_deg, k), np.tile(grid.population, k)
+    )
     for _ in range(5):
         p = offset_km(anchor, *rng.uniform(-100.0, 100.0, 2))
         full = grid.distances_from(p)
@@ -414,7 +413,10 @@ def test_loader_round_trip(tmp_path):
     g = load_population_csv(path)
     assert len(g) == 2
     assert g.total_population == 12.0
-    assert g.cells[1].population == 7.0
+    assert g.population[1] == 7.0
+    # the longitude is normalised into [-180, 180)
+    path.write_text("lat,lon,population\n0,190,1\n")
+    assert load_population_csv(path).lon_deg[0] == -170.0
 
 
 def test_loader_error_lines(tmp_path):
@@ -446,6 +448,11 @@ def test_loader_error_lines(tmp_path):
     bad_lat.write_text("lat,lon,population\n99,12,1\n")
     with pytest.raises(DataError, match="line 2"):
         load_population_csv(bad_lat)
+
+    bad_lon = tmp_path / "o.csv"
+    bad_lon.write_text("lat,lon,population\n0,inf,1\n")
+    with pytest.raises(DataError, match="line 2"):
+        load_population_csv(bad_lon)
 
     empty = tmp_path / "e.csv"
     empty.write_text("")

@@ -177,13 +177,10 @@ def test_ignore_ev_skips_own_bookings():
 
 
 def test_non_operational_and_excluded_points():
+    # a point out of service is one in the exclude set (the fault mask);
+    # with s1 down, origin to s2 is 100 km, beyond one charge span
     req, net = corridor_fixture()
     led = ReservationLedger()
-    down = ChargeNetwork(
-        [dataclasses.replace(net.by_id["s1"], operational=False), net.by_id["s2"]]
-    )
-    # origin to s2 is 100 km, beyond one charge span: unroutable
-    assert isinstance(plan_route(req, down, led, CFG), Unroutable)
     assert isinstance(plan_route(req, net, led, CFG, exclude=frozenset({"s1"})), Unroutable)
 
 
