@@ -88,12 +88,26 @@ class ChargeNetwork:
             memo = self._memo[center] = (radius_km, hits)
         return memo[1][: bisect.bisect_right(memo[1], radius_km, key=itemgetter(0))]
 
-    def _scan(self, center: GeoPoint, radius_km: float) -> list[tuple[float, ChargePoint]]:
+    def any_within(self, center: GeoPoint, radius_km: float, exclude: frozenset[str] = frozenset()) -> bool:
+        """Whether a point whose id is not excluded lies within the radius:
+        the test of within_radius, stopping at the first such point. It
+        neither reads nor fills the memo."""
+        if radius_km < 0:
+            raise ValueError(f"negative radius: {radius_km}")
+        return any(
+            p.id not in exclude and distance_km(center, p.location) <= radius_km
+            for p in self._band(center, radius_km)
+        )
+
+    def _band(self, center: GeoPoint, radius_km: float) -> list[ChargePoint]:
         band = radius_km / KM_PER_DEG_LAT + 1e-9
         lo = bisect.bisect_left(self._lats, center.lat_deg - band)
         hi = bisect.bisect_right(self._lats, center.lat_deg + band)
+        return self._sorted[lo:hi]
+
+    def _scan(self, center: GeoPoint, radius_km: float) -> list[tuple[float, ChargePoint]]:
         hits = []
-        for p in self._sorted[lo:hi]:
+        for p in self._band(center, radius_km):
             d = distance_km(center, p.location)
             if d <= radius_km:
                 hits.append((d, p))

@@ -231,10 +231,13 @@ def load_population_csv(path) -> PopulationGrid:
 
 
 def _jitter_within_cell(grid: PopulationGrid, idx: int, rng: np.random.Generator) -> GeoPoint:
-    # uniform over the cell's km square; the grid is 1 km cells
+    # uniform over the cell's km square; the grid is 1 km cells. Each offset
+    # is the float Generator.uniform(lo, hi) gives, without its argument
+    # handling
     center = GeoPoint(float(grid.lat_deg[idx]), float(grid.lon_deg[idx]))
-    east = rng.uniform(-CELL_KM / 2.0, CELL_KM / 2.0)
-    north = rng.uniform(-CELL_KM / 2.0, CELL_KM / 2.0)
+    lo, hi = -CELL_KM / 2.0, CELL_KM / 2.0
+    east = lo + (hi - lo) * rng.random()
+    north = lo + (hi - lo) * rng.random()
     return offset_km(center, east, north)
 
 

@@ -191,7 +191,7 @@ def plan_route(
     # the exit test (see above); the slack covers the radius query measuring
     # from the destination where a last leg measures to it
     reach = span_km(ev, max(initial_soc, ev.charge_target_soc), floor) + BOUND_SLACK_KM
-    if not any(cp.id not in exclude for _, cp in net.within_radius(req.destination, reach)):
+    if not net.any_within(req.destination, reach, exclude):
         return Unroutable(req.ev_id, NO_ROUTE, direct)
 
     # A* over labels (f, dep, n_stops, seq, soc, loc, d_dest, parent, d_leg,
@@ -304,6 +304,8 @@ def commit_route(plan: RoutePlan, ledger: ReservationLedger, cfg: RouterConfig) 
                 ledger.commit(Booking(s.cp_id, plan.ev_id, s.charge_start_h, s.charge_end_h))
         return plan
 
+    if not plan.stops:
+        return plan
     delay = 0.0
     realized = []
     for s in plan.stops:

@@ -379,11 +379,19 @@ def run_chargesim(args: list[str], cwd) -> subprocess.CompletedProcess:
     """Run ``python -m chargesim *args`` in a subprocess and capture its output.
 
     The module form, not a console script found on PATH: a script can belong
-    to another install, and none exists in a checkout. The directory holding
-    the imported package goes first on the child's PYTHONPATH as an absolute
-    path, so the child runs the same code as the suite whatever its working
-    directory and whether or not the package is installed. CHARGESIM_SEED is
-    dropped so only the command's own flags pick the seed.
+    to another install, and none exists in a checkout.
+    """
+    return run_python(["-m", "chargesim", *args], cwd)
+
+
+def run_python(args: list[str], cwd) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a subprocess and capture its output.
+
+    The directory holding the imported package goes first on the child's
+    PYTHONPATH as an absolute path, so the child runs the same code as the
+    suite whatever its working directory and whether or not the package is
+    installed. CHARGESIM_SEED is dropped so only the command's own flags
+    pick the seed.
     """
     env = dict(os.environ)
     env.pop("CHARGESIM_SEED", None)
@@ -391,6 +399,6 @@ def run_chargesim(args: list[str], cwd) -> subprocess.CompletedProcess:
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src + (os.pathsep + rest if rest else "")
     return subprocess.run(
-        [sys.executable, "-m", "chargesim", *args],
+        [sys.executable, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
     )

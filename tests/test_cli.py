@@ -7,7 +7,7 @@ from chargesim import experiment
 from chargesim.cli import SCENARIO_FLAGS, _collect_overrides, build_parser, main
 from chargesim.config import SEED_ENV_VAR, parse_pf_grid, parse_value
 from chargesim.errors import ConfigError
-from helpers import run_chargesim
+from helpers import run_chargesim, run_python
 
 EXPECTED_METRICS_HEADER = (
     "n_ev,trips,frac_charge,frac_below_60,frac_below_40,frac_below_10,"
@@ -574,6 +574,45 @@ def test_module_entry_point_passes_exit_codes(tmp_path):
     )
     assert r.returncode == 2
     assert "config error" in r.stderr
+
+
+# runs each command in one fresh process and prints, per command, its exit
+# code and whether scipy was imported by then
+_SCIPY_PROBE = """
+import json, sys
+from chargesim.cli import main
+
+cfg = "fx/scenario.cfg"
+commands = [
+    ["gen-fixtures", "--out", "fx", "--seed", "3", "--width-km", "30", "--height-km", "20",
+     "--population", "5000", "--n-dc", "4", "--n-ac", "4", "--blobs", "1", "--n-ev", "10"],
+    ["simulate", "-c", cfg, "--out", "sim"],
+    ["faults", "-c", cfg, "--out", "faults", "--masks", "3"],
+    ["capacity", "-c", cfg, "--out", "cap", "--threshold", "40", "--target", "1.0",
+     "--threads", "1"],
+    ["validate"],
+]
+seen = []
+for argv in commands:
+    rc = main(argv)
+    seen.append([argv[0], rc, any(m.split(".")[0] == "scipy" for m in sys.modules)])
+print(json.dumps(seen))
+"""
+
+
+def test_run_commands_never_import_scipy(tmp_path):
+    # the trip-length table ships as package data, so only validate's
+    # quadrature loads scipy
+    r = run_python(["-c", _SCIPY_PROBE], tmp_path)
+    assert r.returncode == 0, r.stderr
+    seen = json.loads(r.stdout.splitlines()[-1])
+    assert seen == [
+        ["gen-fixtures", 0, False],
+        ["simulate", 0, False],
+        ["faults", 0, False],
+        ["capacity", 0, False],
+        ["validate", 0, True],
+    ]
 
 
 def test_validate_subcommand(capsys):

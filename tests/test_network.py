@@ -119,6 +119,37 @@ def test_within_radius_memo_matches_fresh_scan(monkeypatch):
         assert got == net._scan(off, 80.0)
 
 
+def test_any_within_agrees_with_within_radius():
+    # the early-return query answers whether within_radius has a hit whose
+    # id is not excluded, on and off charge-point locations, on the <= edge
+    rng = np.random.default_rng(17)
+    net = random_net(rng, n=120)
+    ids = [p.id for p in net.points]
+    seen = set()
+    for k in range(3000):
+        if k % 3 == 0:
+            center = net.points[int(rng.integers(len(net)))].location
+        else:
+            center = offset_km(
+                ANCHOR, float(rng.uniform(-340.0, 340.0)), float(rng.uniform(-340.0, 340.0))
+            )
+        r = float(rng.uniform(0.0, 120.0))
+        if k % 5 == 0:
+            # exactly the distance of a point, which the <= test keeps
+            r = distance_km(center, net.points[int(rng.integers(len(net)))].location)
+        hits = net.within_radius(center, r)
+        exclude = frozenset(rng.choice(ids, size=int(rng.integers(0, 4)), replace=False))
+        if hits and k % 4 == 0:
+            exclude |= {p.id for _, p in hits[: int(rng.integers(1, len(hits) + 1))]}
+        for ex in (frozenset(), exclude):
+            want = any(p.id not in ex for _, p in hits)
+            assert net.any_within(center, r, ex) == want
+            seen.add((bool(ex), want))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    with pytest.raises(ValueError):
+        net.any_within(ANCHOR, -1.0)
+
+
 def test_within_radius_edges():
     rng = np.random.default_rng(1)
     net = random_net(rng, n=50)

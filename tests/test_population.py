@@ -12,6 +12,7 @@ from chargesim.population import (
     _TILE_MARGIN_KM,
     PopulationGrid,
     RingEmpty,
+    _jitter_within_cell,
     load_population_csv,
     sample_destination,
     sample_origin,
@@ -94,6 +95,23 @@ def test_origin_jitter_stays_in_cell():
     for _ in range(500):
         p = sample_origin(g, rng)
         assert distance_km(p, ANCHOR) <= half_diag + 1e-6
+
+
+def test_per_trip_draws_match_uniform_and_quantile():
+    # the jitter's offsets and a scalar trip length skip numpy's argument
+    # handling; on one shared seed they give the floats Generator.uniform
+    # and TripLengthDistribution.quantile give
+    grid = grid_of([(offset_km(ANCHOR, 3.0 * i, 2.0 * i), 1.0 + i) for i in range(7)])
+    dist = default_trip_distribution()
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for k in range(20_000):
+        idx = k % len(grid)
+        east, north = ref.uniform(-0.5, 0.5), ref.uniform(-0.5, 0.5)
+        assert _jitter_within_cell(grid, idx, rng) == offset_km(_centre(grid, idx), east, north)
+        y = dist.sample(rng)
+        assert type(y) is float
+        assert y == dist.quantile(ref.random())
+    assert rng.random() == ref.random()
 
 
 def test_destination_picks_the_only_ring_cell():

@@ -53,19 +53,21 @@ def test_destination_beyond_every_point_ends_after_one_radius_query(monkeypatch)
     ])
     req = TripRequest(1, anchor, offset_km(anchor, 140.0, 20.0))
     calls = []
-    real = net.within_radius
 
-    def within_radius(center, radius_km):
-        calls.append(radius_km)
-        return real(center, radius_km)
+    def counted(query):
+        def wrapper(center, radius_km, *args):
+            calls.append(radius_km)
+            return query(center, radius_km, *args)
+        return wrapper
 
-    monkeypatch.setattr(net, "within_radius", within_radius)
+    monkeypatch.setattr(net, "within_radius", counted(net.within_radius))
+    monkeypatch.setattr(net, "any_within", counted(net.any_within))
     for cfg in (CFG, dataclasses.replace(CFG, prune=False)):
         calls.clear()
         out = plan_route(req, net, ReservationLedger(), cfg)
         assert isinstance(out, Unroutable)
         assert out.reason == router.NO_ROUTE
-        assert len(calls) <= 2
+        assert len(calls) == 1
 
 
 def test_direct_range_threshold():
@@ -152,6 +154,16 @@ def test_blind_commit_queues_first_come_first_served():
         bs = led.bookings_for(cp)
         assert len(bs) == 2
         assert bs[0].end_h <= bs[1].start_h
+
+
+def test_blind_commit_of_a_direct_plan_returns_it_unchanged():
+    anchor = GeoPoint(0.0, 30.0)
+    cfg = RouterConfig(ev=EV, mode=BLIND)
+    led = ReservationLedger()
+    plan = plan_route(TripRequest(1, anchor, offset_km(anchor, 50.0, 0.0)), ChargeNetwork([]), led, cfg)
+    assert plan.stops == ()
+    assert commit_route(plan, led, cfg) is plan
+    assert len(led) == 0
 
 
 def test_aware_plan_routes_around_queue():

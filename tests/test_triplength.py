@@ -97,5 +97,20 @@ def test_constructor_validation():
         TripLengthDistribution(table_size=8)
 
 
+def test_frozen_table_is_the_quadrature_build():
+    # the default instance reads its table from package data; the
+    # quadrature build must give the same floats, bit for bit
+    frozen, fresh = default_trip_distribution(), TripLengthDistribution()
+    regenerate = (
+        "stale triplength_table.npy; regenerate it with PYTHONPATH=src python -c "
+        "'from chargesim.triplength import freeze_default_table; freeze_default_table()'"
+    )
+    assert sorted(vars(frozen)) == sorted(vars(fresh))
+    assert np.array_equal(frozen._y_knots, fresh._y_knots), regenerate
+    assert np.array_equal(frozen._cdf_knots, fresh._cdf_knots), regenerate
+    assert frozen.Z == fresh.Z, regenerate
+    assert (frozen.a, frozen.b, frozen.c, frozen.upper_km) == (fresh.a, fresh.b, fresh.c, fresh.upper_km)
+
+
 def test_default_instance_is_cached():
     assert default_trip_distribution() is default_trip_distribution()
