@@ -121,24 +121,29 @@ SCHEMA: dict[str, tuple] = {
 
 
 def parse_config_file(path: str) -> dict:
-    """Read a flat config file into typed values; unknown keys are errors."""
+    """Read a flat config file, UTF-8 text, into typed values; unknown keys
+    are errors."""
     out: dict = {}
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            s = line.split("#", 1)[0].strip()
-            if not s:
-                continue
-            if "=" not in s:
-                raise ConfigError(f"{path}: line {lineno}: expected key = value")
-            key, _, raw = s.partition("=")
-            key = key.strip()
-            if key not in SCHEMA:
-                raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-            out[key] = parse_value(key, raw, f"{path}: line {lineno}: bad value for {key}")
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        s = line.split("#", 1)[0].strip()
+        if not s:
+            continue
+        if "=" not in s:
+            raise ConfigError(f"{path}: line {lineno}: expected key = value")
+        key, _, raw = s.partition("=")
+        key = key.strip()
+        if key not in SCHEMA:
+            raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+        out[key] = parse_value(key, raw, f"{path}: line {lineno}: bad value for {key}")
     return out
 
 

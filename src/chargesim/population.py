@@ -9,10 +9,14 @@ their cell so endpoints do not collapse onto cell centres.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NoReturn
 
 import numpy as np
 
@@ -188,46 +192,136 @@ def _haversine_km(lat, cos_lat, lon, lat_c, lon_c) -> np.ndarray:
 
 
 def load_population_csv(path) -> PopulationGrid:
-    """Read a ``lat,lon,population`` CSV into a grid.
+    """Read a ``lat,lon,population`` CSV into a grid: UTF-8 text, that
+    header, then one cell a line. Blank lines are skipped, fields may be
+    quoted and lines may end in CRLF. The body is parsed by one np.loadtxt
+    call and checked as arrays; longitudes are normalised as GeoPoint does.
 
     Raises DataError with the offending line number on malformed rows.
     """
-    lats: list[float] = []
-    lons: list[float] = []
-    pops: list[float] = []
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read population grid {path}: {exc}") from exc
-    with fh:
+    try:
+        with fh:
+            rows = _Rows(fh, path)
+            lines = iter(rows)
+            head = next(lines, None)
+            # an empty body is left to PopulationGrid's "no cells" error;
+            # loadtxt would warn on it
+            cells = np.empty((0, 3)) if head is None else _parse(itertools.chain((head,), lines))
+        if cells is None:
+            _raise_first_bad_row(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+    _check_cells(path, cells, rows)
+    lat, lon, pop = cells.T.copy()
+    out = (lon < -180.0) | (lon >= 180.0)
+    # GeoPoint's expression, on the longitudes it would change
+    lon[out] = ((lon[out] + 180.0) % 360.0) - 180.0
+    return PopulationGrid(lat, lon, pop)
+
+
+class _Rows:
+    """The body of an open population CSV whose header has been checked:
+    iterating gives the lines that hold a row, blank lines left out, and
+    line_of(k) is the line number of row k once the lines up to it have
+    been read."""
+
+    def __init__(self, fh, path) -> None:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file")
         if [h.strip().lower() for h in header] != ["lat", "lon", "population"]:
             raise DataError(f"{path}: line 1: expected header lat,lon,population")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
-            try:
-                lat, lon, pop = float(row[0]), float(row[1]), float(row[2])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            if not math.isfinite(pop):
-                raise DataError(f"{path}: line {lineno}: population not finite: {pop}")
-            if pop < 0:
-                raise DataError(f"{path}: line {lineno}: negative population {pop}")
-            try:
-                # range-checks the latitude and normalises the longitude
-                center = GeoPoint(lat, lon)
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            lats.append(center.lat_deg)
-            lons.append(center.lon_deg)
-            pops.append(pop)
-    return PopulationGrid(lats, lons, pops)
+        self._fh = fh
+        self._first = reader.line_num + 1
+        # for each blank line, the number of rows before it
+        self._skipped: list[int] = []
+
+    def __iter__(self) -> Iterator[str]:
+        skipped = self._skipped
+        for i, line in enumerate(self._fh):
+            # a line with a comma always holds a row; any other is blank
+            # when csv reads it as no field or one blank field
+            if "," not in line and not any(f.strip() for f in next(csv.reader([line]), [])):
+                skipped.append(i - len(skipped))
+            else:
+                yield line
+
+    def line_of(self, k: int) -> int:
+        return self._first + k + bisect.bisect_right(self._skipped, k)
+
+
+def _loadtxt(rows, dtype=float) -> np.ndarray:
+    return np.loadtxt(rows, dtype=dtype, delimiter=",", ndmin=2, comments=None, quotechar='"')
+
+
+def _parse(rows) -> np.ndarray | None:
+    """The rows as an (n, 3) array, or None when loadtxt rejects one or they
+    do not hold three fields each."""
+    try:
+        cells = _loadtxt(rows)
+    except UnicodeDecodeError:
+        raise
+    except ValueError:
+        return None
+    return cells if cells.shape[1] == 3 else None
+
+
+def _check_cells(path, cells: np.ndarray, rows: _Rows) -> None:
+    """Raise DataError naming the first parsed row that is not a cell:
+    population not finite or negative, latitude outside [-90, 90] or NaN,
+    longitude not finite."""
+    lat, lon, pop = cells.T
+    bad = ~np.isfinite(pop) | (pop < 0) | ~((lat >= -90.0) & (lat <= 90.0)) | ~np.isfinite(lon)
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    lat_k, lon_k, pop_k = map(float, cells[k])
+    if not math.isfinite(pop_k):
+        why = f"population not finite: {pop_k}"
+    elif pop_k < 0:
+        why = f"negative population {pop_k}"
+    elif not -90.0 <= lat_k <= 90.0:
+        why = f"latitude out of range: {lat_k}"
+    else:
+        why = f"longitude not finite: {lon_k}"
+    raise DataError(f"{path}: line {rows.line_of(k)}: {why}")
+
+
+def _raise_first_bad_row(path) -> NoReturn:
+    """Raise DataError for the first row of path that is not a cell, after
+    _parse has rejected the body: the first row that _parse rejects, found
+    by bisection with the same parser, unless a row before it fails
+    _check_cells."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = _Rows(fh, path)
+        lines = list(rows)
+    # lines[:lo] parse, as the arrays in good, and lines[lo:hi] hold a row
+    # that does not
+    good = [np.empty((0, 3))]
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        cells = _parse(lines[lo:mid])
+        if cells is None:
+            hi = mid
+        else:
+            good.append(cells)
+            lo = mid
+    _check_cells(path, np.concatenate(good), rows)
+    where = f"{path}: line {rows.line_of(lo)}"
+    n_fields = _loadtxt(lines[lo : lo + 1], dtype=str).shape[1]
+    if n_fields != 3:
+        raise DataError(f"{where}: expected 3 fields, got {n_fields}")
+    try:
+        _loadtxt(lines[lo : lo + 1])
+    except ValueError as exc:
+        raise DataError(f"{where}: {str(exc).replace(' at row 0, column ', ' in column ')}") from exc
+    raise DataError(f"{where}: cannot parse the row")
 
 
 def _jitter_within_cell(grid: PopulationGrid, idx: int, rng: np.random.Generator) -> GeoPoint:

@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DataError
+
 QUAD_REL_TOL = 1e-9
 
 # the printed coefficients and truncation length
@@ -128,9 +130,16 @@ class TripLengthDistribution:
 @functools.lru_cache(maxsize=4)
 def default_trip_distribution() -> TripLengthDistribution:
     """Shared default-parameter instance, its table read from TABLE_FILE."""
+    try:
+        table = np.load(TABLE_FILE)
+    except (OSError, EOFError, ValueError) as exc:
+        raise DataError(
+            f"cannot read the trip-length table {TABLE_FILE}: {exc}; rebuild it with "
+            "python -c 'from chargesim.triplength import freeze_default_table; freeze_default_table()'"
+        ) from exc
     dist = TripLengthDistribution.__new__(TripLengthDistribution)
     dist.a, dist.b, dist.c, dist.upper_km = A, B, C, UPPER_KM
-    dist._set_table(*np.load(TABLE_FILE))
+    dist._set_table(*table)
     return dist
 
 

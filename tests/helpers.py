@@ -4,7 +4,8 @@ The oracles recompute results by a different algorithm than the production
 code (exhaustive enumeration instead of label-setting search, lattice scan
 instead of sorted-gap walk, even-grid Simpson instead of the log-knot
 table, a haversine over every cell instead of the tile index's candidate
-rings), so agreement is evidence and not tautology. Fixture builders are
+rings, csv and float() row by row instead of one np.loadtxt call), so
+agreement is evidence and not tautology. Fixture builders are
 anchored at the equator where eastward kilometre offsets reproduce
 haversine distances to machine precision, which keeps hand-built
 geometry exact.
@@ -12,6 +13,8 @@ geometry exact.
 
 from __future__ import annotations
 
+import csv
+import math
 import os
 import subprocess
 import sys
@@ -316,6 +319,51 @@ def full_scan_sample_destination(
         pick = int(np.searchsorted(cum, u, side="right"))
         return _jitter_within_cell(grid, int(np.flatnonzero(mask)[pick]), rng)
     raise RingEmpty(f"no populated cell within {RING_HALF_WIDTHS[-1]} km of ring at {trip_km:.1f} km")
+
+
+# ---------------------------------------------------------------------------
+# loader oracle: csv and float() row by row
+
+
+def loop_load_population_csv(path) -> PopulationGrid:
+    """load_population_csv as a Python loop over csv rows: float() for each
+    field, the checks one row at a time, and GeoPoint to range-check the
+    latitude and normalise the longitude."""
+    lats: list[float] = []
+    lons: list[float] = []
+    pops: list[float] = []
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read population grid {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        if [h.strip().lower() for h in header] != ["lat", "lon", "population"]:
+            raise DataError(f"{path}: line 1: expected header lat,lon,population")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 3:
+                raise DataError(f"{path}: line {lineno}: expected 3 fields, got {len(row)}")
+            try:
+                lat, lon, pop = float(row[0]), float(row[1]), float(row[2])
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from exc
+            if not math.isfinite(pop):
+                raise DataError(f"{path}: line {lineno}: population not finite: {pop}")
+            if pop < 0:
+                raise DataError(f"{path}: line {lineno}: negative population {pop}")
+            try:
+                center = GeoPoint(lat, lon)
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from exc
+            lats.append(center.lat_deg)
+            lons.append(center.lon_deg)
+            pops.append(pop)
+    return PopulationGrid(lats, lons, pops)
 
 
 def grid_of(cells: list[tuple[GeoPoint, float]]) -> PopulationGrid:

@@ -3,7 +3,7 @@ import multiprocessing
 
 import pytest
 
-from chargesim import experiment
+from chargesim import experiment, triplength
 from chargesim.cli import SCENARIO_FLAGS, _collect_overrides, build_parser, main
 from chargesim.config import SEED_ENV_VAR, parse_pf_grid, parse_value
 from chargesim.errors import ConfigError
@@ -244,6 +244,57 @@ def test_non_finite_inputs_exit_codes(fixture_dir, tmp_path):
         ]
     )
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        ("population_csv", b"lat,lon,population\n0,12,\xff\xfe1\n"),
+        ("network_csv", b"id,lat,lon,kind,power_kw\ncp1,0,12,DC,\xff\xfe50\n"),
+    ],
+)
+def test_undecodable_input_csv_exits_3(fixture_dir, tmp_path, key, text, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(text)
+    rc = main(
+        [
+            "simulate",
+            "-c", str(fixture_dir / "scenario.cfg"),
+            "--out", str(tmp_path / "out"),
+            "--set", f"{key}={bad}",
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}: not UTF-8 text") and err.count("\n") == 1
+
+
+def test_undecodable_config_exits_2(fixture_dir, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes((fixture_dir / "scenario.cfg").read_bytes() + b"# \xff\xfe\n")
+    rc = main(["simulate", "-c", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: not UTF-8 text") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [None, b"not a table"], ids=["missing", "corrupt"])
+def test_unreadable_trip_table_exits_3(fixture_dir, tmp_path, monkeypatch, capsys, content):
+    table = tmp_path / "table.npy"
+    if content is not None:
+        table.write_bytes(content)
+    triplength.default_trip_distribution.cache_clear()
+    monkeypatch.setattr(triplength, "TABLE_FILE", table)
+    try:
+        rc = main(
+            ["simulate", "-c", str(fixture_dir / "scenario.cfg"), "--out", str(tmp_path / "out")]
+        )
+    finally:
+        triplength.default_trip_distribution.cache_clear()
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot read the trip-length table") and err.count("\n") == 1
+    assert str(table) in err and "freeze_default_table" in err
 
 
 @pytest.mark.parametrize(
