@@ -46,6 +46,7 @@ from .experiment import (
     run_scenario_grid,
 )
 from .faults import run_fault_sweep
+from .files import write_text_atomic
 from .fixtures import (
     PopulationBlob,
     synthetic_network,
@@ -63,13 +64,6 @@ from .triplength import default_trip_distribution
 
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
-
-
-def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _out_dir(ns) -> str:
@@ -96,7 +90,7 @@ def _write_manifest(out_dir: str, ns, opts: dict, outputs: list[str], t0: float)
         "outputs": sorted(os.path.basename(p) for p in outputs),
         "wall_clock_s": round(time.monotonic() - t0, 3),
     }
-    _write_atomic(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
+    write_text_atomic(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
 
 
 def _collect_overrides(ns) -> dict:
@@ -213,17 +207,17 @@ def cmd_simulate(ns) -> int:
         metrics = [total]
         if ns.dump_routes:
             path = os.path.join(out, "routes.jsonl")
-            _write_atomic(path, "\n".join(route_lines) + "\n")
+            write_text_atomic(path, "\n".join(route_lines) + "\n")
             outputs.append(path)
         if ns.dump_ledger:
             path = os.path.join(out, "ledger.csv")
-            _write_atomic(path, "\n".join(ledger_lines) + "\n")
+            write_text_atomic(path, "\n".join(ledger_lines) + "\n")
             outputs.append(path)
     else:
         metrics = run_scenario_grid(cfg, sizes, grid=grid, net=net, dist=dist)
 
     csv_path = os.path.join(out, "metrics.csv")
-    _write_atomic(csv_path, _metrics_csv(metrics, tuple(cfg.speed_thresholds_kph)))
+    write_text_atomic(csv_path, _metrics_csv(metrics, tuple(cfg.speed_thresholds_kph)))
     outputs.append(csv_path)
     summary = {
         "seed": opts["seed"],
@@ -232,7 +226,7 @@ def cmd_simulate(ns) -> int:
         "results": [_metrics_summary(m) for m in metrics],
     }
     summary_path = os.path.join(out, "summary.json")
-    _write_atomic(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     outputs.append(summary_path)
     _write_manifest(out, ns, opts, outputs, t0)
     for m in metrics:
@@ -286,7 +280,7 @@ def cmd_faults(ns) -> int:
             f"{row.unroutable},{_fmt(row.p_s)},{_fmt(row.ci_low)},{_fmt(row.ci_high)}"
         )
     csv_path = os.path.join(out, "faults.csv")
-    _write_atomic(csv_path, "\n".join(lines) + "\n")
+    write_text_atomic(csv_path, "\n".join(lines) + "\n")
     _write_manifest(out, ns, opts, [csv_path], t0)
     for row in rows:
         print(
@@ -317,7 +311,7 @@ def cmd_capacity(ns) -> int:
         f"{p.n_ev},{p.failures},{p.trials},{_fmt(p.upper_ci)}" for p in result.probes
     ]
     csv_path = os.path.join(out, "capacity.csv")
-    _write_atomic(csv_path, "\n".join(probe_lines) + "\n")
+    write_text_atomic(csv_path, "\n".join(probe_lines) + "\n")
     report = {
         "found": result.found,
         "capacity_n_ev": result.n_ev,
@@ -327,7 +321,7 @@ def cmd_capacity(ns) -> int:
         "probes": [dataclasses.asdict(p) for p in result.probes],
     }
     json_path = os.path.join(out, "capacity.json")
-    _write_atomic(json_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(json_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
     _write_manifest(out, ns, opts, [csv_path, json_path], t0)
     if result.found:
         print(
@@ -479,7 +473,7 @@ def cmd_gen_fixtures(ns) -> int:
             "",
         ]
     )
-    _write_atomic(cfg_path, cfg_text)
+    write_text_atomic(cfg_path, cfg_text)
     opts = {
         "seed": ns.seed,
         "width_km": w,

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError
 from .ev import EvParams
 from .experiment import ScenarioConfig
+from .files import open_text
 
 SEED_ENV_VAR = "CHARGESIM_SEED"
 
@@ -124,15 +125,8 @@ def parse_config_file(path: str) -> dict:
     """Read a flat config file, UTF-8 text, into typed values; unknown keys
     are errors."""
     out: dict = {}
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    with fh:
-        try:
-            lines = list(fh)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    with open_text(path, "config", ConfigError) as fh:
+        lines = list(fh)
     for lineno, line in enumerate(lines, start=1):
         s = line.split("#", 1)[0].strip()
         if not s:

@@ -1,0 +1,67 @@
+"""The files chargesim reads and writes, all as UTF-8 text whatever the
+locale. A file that cannot be opened or decoded raises the caller's error
+type naming its path: DataError for the CSVs, ConfigError for the config."""
+
+from __future__ import annotations
+
+import csv
+import os
+from contextlib import contextmanager
+
+from .errors import DataError
+
+POPULATION_HEADER = ("lat", "lon", "population")
+NETWORK_HEADER = ("id", "lat", "lon", "kind", "power_kw")
+
+
+@contextmanager
+def open_text(path, what: str, error: type[Exception] = DataError):
+    """path open for reading as UTF-8, line ends untranslated; failing to
+    open it, or to decode it while open, raises error naming path."""
+    try:
+        fh = open(path, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        with fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+@contextmanager
+def csv_body(path, what: str, header: tuple[str, ...]):
+    """(fh, first): the CSV at path open after its header, which must hold
+    header's names (case and surrounding spaces aside), and the number of
+    the line its body starts on."""
+    with open_text(path, what) as fh:
+        reader = csv.reader(fh)
+        names = next(reader, None)
+        if names is None:
+            raise DataError(f"{path}: empty file")
+        if [h.strip().lower() for h in names] != list(header):
+            raise DataError(f"{path}: line 1: expected header {','.join(header)}")
+        yield fh, reader.line_num + 1
+
+
+def is_blank(record: str | list[str]) -> bool:
+    """Whether a CSV record holds no row: csv reads it as no field or one
+    blank field. record is a line, or the fields csv read from one."""
+    fields = next(csv.reader([record]), []) if isinstance(record, str) else record
+    return len(fields) < 2 and not "".join(fields).strip()
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """text to path as UTF-8, through a temporary file beside it."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
+def write_csv(path, header: tuple[str, ...], rows) -> None:
+    """header, then rows, to path as UTF-8 CSV."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)

@@ -8,13 +8,13 @@ generation is seeded and deterministic.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ev import AC, DC
+from .files import NETWORK_HEADER, POPULATION_HEADER, write_csv
 from .geo import GeoPoint, offset_km
 from .network import ChargeNetwork, ChargePoint
 from .population import PopulationGrid
@@ -90,16 +90,10 @@ def synthetic_network(
 
 
 def write_population_csv(grid: PopulationGrid, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lat", "lon", "population"])
-        for lat, lon, pop in zip(grid.lat_deg.tolist(), grid.lon_deg.tolist(), grid.population.tolist()):
-            w.writerow([f"{lat:.8f}", f"{lon:.8f}", f"{pop:.6g}"])
+    cells = zip(grid.lat_deg.tolist(), grid.lon_deg.tolist(), grid.population.tolist())
+    write_csv(path, POPULATION_HEADER, ([f"{lat:.8f}", f"{lon:.8f}", f"{pop:.6g}"] for lat, lon, pop in cells))
 
 
 def write_network_csv(net: ChargeNetwork, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "lat", "lon", "kind", "power_kw"])
-        for p in net.points:
-            w.writerow([p.id, f"{p.location.lat_deg:.8f}", f"{p.location.lon_deg:.8f}", p.kind, f"{p.power_kw:g}"])
+    rows = ([p.id, f"{p.location.lat_deg:.8f}", f"{p.location.lon_deg:.8f}", p.kind, f"{p.power_kw:g}"] for p in net.points)
+    write_csv(path, NETWORK_HEADER, rows)

@@ -26,13 +26,18 @@ class GeoPoint:
     def __post_init__(self) -> None:
         if not -90.0 <= self.lat_deg <= 90.0:
             raise ValueError(f"latitude out of range: {self.lat_deg}")
-        # normalize longitude into [-180, 180)
         lon = self.lon_deg
         if not -180.0 <= lon < 180.0:
             if not math.isfinite(lon):
                 raise ValueError(f"longitude not finite: {lon}")
-            lon = ((lon + 180.0) % 360.0) - 180.0
-            object.__setattr__(self, "lon_deg", lon)
+            object.__setattr__(self, "lon_deg", wrap_lon(lon))
+
+
+def wrap_lon(lon):
+    """Finite longitudes, degrees, a float or an array, wrapped into [-180,
+    180). Where the modulo rounds up to 180, the result is -180."""
+    w = ((lon + 180.0) % 360.0) - 180.0
+    return w - 360.0 * (w >= 180.0)
 
 
 def distance_km(a: GeoPoint, b: GeoPoint) -> float:

@@ -26,6 +26,7 @@ from operator import itemgetter
 
 from .errors import DataError
 from .ev import AC, DC
+from .files import NETWORK_HEADER, csv_body, is_blank
 from .geo import KM_PER_DEG_LAT, GeoPoint, distance_km
 
 KINDS = (DC, AC)
@@ -125,36 +126,25 @@ class ChargeNetwork:
 
 
 def load_network_csv(path) -> ChargeNetwork:
-    """Read an ``id,lat,lon,kind,power_kw`` CSV, UTF-8 text. An empty body
-    is a valid (empty) network."""
+    """Read an ``id,lat,lon,kind,power_kw`` CSV, UTF-8 text, quoted strictly.
+    An empty body is an empty network. Errors name a record's first line."""
     points: list[ChargePoint] = []
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read charge network {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
+    with csv_body(path, "charge network", NETWORK_HEADER) as (fh, first):
+        reader = csv.reader(fh, strict=True)
+        lineno = first  # the first line of the record being read
         try:
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            if [h.strip().lower() for h in header] != ["id", "lat", "lon", "kind", "power_kw"]:
-                raise DataError(f"{path}: line 1: expected header id,lat,lon,kind,power_kw")
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 5:
-                    raise DataError(f"{path}: line {lineno}: expected 5 fields, got {len(row)}")
-                try:
-                    pid = row[0].strip()
-                    lat, lon = float(row[1]), float(row[2])
-                    kind = row[3].strip().upper()
-                    power = float(row[4])
-                    points.append(ChargePoint(pid, GeoPoint(lat, lon), kind, power))
-                except (ValueError, DataError) as exc:
-                    raise DataError(f"{path}: line {lineno}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+            for row in reader:
+                if not is_blank(row):
+                    if len(row) != 5:
+                        raise DataError(f"expected 5 fields, got {len(row)}")
+                    pid, lat, lon, kind, power = row
+                    lat, lon, power = float(lat), float(lon), float(power)
+                    points.append(ChargePoint(pid.strip(), GeoPoint(lat, lon), kind.strip().upper(), power))
+                lineno = first + reader.line_num
+        except UnicodeDecodeError:
+            raise  # csv_body reports it
+        except (csv.Error, ValueError) as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
     return ChargeNetwork(points)
 
 

@@ -9,11 +9,8 @@ their cell so endpoints do not collapse onto cell centres.
 
 from __future__ import annotations
 
-import bisect
-import csv
 import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NoReturn
@@ -21,7 +18,8 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import DataError
-from .geo import EARTH_RADIUS_KM, GeoPoint, offset_km
+from .files import POPULATION_HEADER, csv_body, is_blank
+from .geo import EARTH_RADIUS_KM, GeoPoint, offset_km, wrap_lon
 
 CELL_KM = 1.0
 
@@ -195,64 +193,23 @@ def load_population_csv(path) -> PopulationGrid:
     """Read a ``lat,lon,population`` CSV into a grid: UTF-8 text, that
     header, then one cell a line. Blank lines are skipped, fields may be
     quoted and lines may end in CRLF. The body is parsed by one np.loadtxt
-    call and checked as arrays; longitudes are normalised as GeoPoint does.
+    call and checked as arrays; longitudes are wrapped as in GeoPoint.
 
     Raises DataError with the offending line number on malformed rows.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read population grid {path}: {exc}") from exc
-    try:
-        with fh:
-            rows = _Rows(fh, path)
-            lines = iter(rows)
-            head = next(lines, None)
-            # an empty body is left to PopulationGrid's "no cells" error;
-            # loadtxt would warn on it
-            cells = np.empty((0, 3)) if head is None else _parse(itertools.chain((head,), lines))
-        if cells is None:
-            _raise_first_bad_row(path)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
-    _check_cells(path, cells, rows)
+    with csv_body(path, "population grid", POPULATION_HEADER) as (fh, _):
+        # a line with a comma always holds a row
+        lines = (line for line in fh if "," in line or not is_blank(line))
+        head = next(lines, None)
+        # an empty body is left to PopulationGrid's "no cells" error;
+        # loadtxt would warn on it
+        cells = np.empty((0, 3)) if head is None else _parse(itertools.chain((head,), lines))
+    if cells is None or _bad_cells(cells).any():
+        _raise_first_bad_row(path, cells)
     lat, lon, pop = cells.T.copy()
     out = (lon < -180.0) | (lon >= 180.0)
-    # GeoPoint's expression, on the longitudes it would change
-    lon[out] = ((lon[out] + 180.0) % 360.0) - 180.0
+    lon[out] = wrap_lon(lon[out])
     return PopulationGrid(lat, lon, pop)
-
-
-class _Rows:
-    """The body of an open population CSV whose header has been checked:
-    iterating gives the lines that hold a row, blank lines left out, and
-    line_of(k) is the line number of row k once the lines up to it have
-    been read."""
-
-    def __init__(self, fh, path) -> None:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        if [h.strip().lower() for h in header] != ["lat", "lon", "population"]:
-            raise DataError(f"{path}: line 1: expected header lat,lon,population")
-        self._fh = fh
-        self._first = reader.line_num + 1
-        # for each blank line, the number of rows before it
-        self._skipped: list[int] = []
-
-    def __iter__(self) -> Iterator[str]:
-        skipped = self._skipped
-        for i, line in enumerate(self._fh):
-            # a line with a comma always holds a row; any other is blank
-            # when csv reads it as no field or one blank field
-            if "," not in line and not any(f.strip() for f in next(csv.reader([line]), [])):
-                skipped.append(i - len(skipped))
-            else:
-                yield line
-
-    def line_of(self, k: int) -> int:
-        return self._first + k + bisect.bisect_right(self._skipped, k)
 
 
 def _loadtxt(rows, dtype=float) -> np.ndarray:
@@ -271,49 +228,46 @@ def _parse(rows) -> np.ndarray | None:
     return cells if cells.shape[1] == 3 else None
 
 
-def _check_cells(path, cells: np.ndarray, rows: _Rows) -> None:
-    """Raise DataError naming the first parsed row that is not a cell:
-    population not finite or negative, latitude outside [-90, 90] or NaN,
-    longitude not finite."""
+def _bad_cells(cells: np.ndarray) -> np.ndarray:
+    """Which parsed rows are not cells: population not finite or negative,
+    latitude outside [-90, 90] or NaN, longitude not finite."""
     lat, lon, pop = cells.T
-    bad = ~np.isfinite(pop) | (pop < 0) | ~((lat >= -90.0) & (lat <= 90.0)) | ~np.isfinite(lon)
-    if not bad.any():
-        return
-    k = int(np.argmax(bad))
-    lat_k, lon_k, pop_k = map(float, cells[k])
-    if not math.isfinite(pop_k):
-        why = f"population not finite: {pop_k}"
-    elif pop_k < 0:
-        why = f"negative population {pop_k}"
-    elif not -90.0 <= lat_k <= 90.0:
-        why = f"latitude out of range: {lat_k}"
-    else:
-        why = f"longitude not finite: {lon_k}"
-    raise DataError(f"{path}: line {rows.line_of(k)}: {why}")
+    return ~np.isfinite(pop) | (pop < 0) | ~((lat >= -90.0) & (lat <= 90.0)) | ~np.isfinite(lon)
 
 
-def _raise_first_bad_row(path) -> NoReturn:
-    """Raise DataError for the first row of path that is not a cell, after
-    _parse has rejected the body: the first row that _parse rejects, found
-    by bisection with the same parser, unless a row before it fails
-    _check_cells."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = _Rows(fh, path)
-        lines = list(rows)
-    # lines[:lo] parse, as the arrays in good, and lines[lo:hi] hold a row
-    # that does not
-    good = [np.empty((0, 3))]
-    lo, hi = 0, len(lines)
+def _raise_first_bad_row(path, cells: np.ndarray | None) -> NoReturn:
+    """Raise DataError naming the line of the first row of path that is not
+    a cell. cells is the body as _parse gave it, or None when it rejected a
+    row: that row is then found by bisection with the same parser, unless a
+    row before it parses to no cell. Only this path numbers the lines."""
+    with csv_body(path, "population grid", POPULATION_HEADER) as (fh, first):
+        body = list(fh)
+    # row k is body[at[k]], on line first + at[k]
+    at = [i for i, line in enumerate(body) if "," in line or not is_blank(line)]
+    lines = [body[i] for i in at]
+    # lines[:lo] parse, as the arrays in good; when cells is None,
+    # lines[lo:hi] hold a row that does not
+    lo, hi = (0, len(lines)) if cells is None else (len(lines), len(lines))
+    good = [np.empty((0, 3)) if cells is None else cells]
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        cells = _parse(lines[lo:mid])
-        if cells is None:
+        part = _parse(lines[lo:mid])
+        if part is None:
             hi = mid
         else:
-            good.append(cells)
+            good.append(part)
             lo = mid
-    _check_cells(path, np.concatenate(good), rows)
-    where = f"{path}: line {rows.line_of(lo)}"
+    cells = np.concatenate(good)
+    bad = _bad_cells(cells)
+    if bad.any():
+        k = int(np.argmax(bad))
+        lat, lon, pop = map(float, cells[k])
+        why = (f"population not finite: {pop}" if not math.isfinite(pop)
+               else f"negative population {pop}" if pop < 0
+               else f"latitude out of range: {lat}" if not -90.0 <= lat <= 90.0
+               else f"longitude not finite: {lon}")
+        raise DataError(f"{path}: line {first + at[k]}: {why}")
+    where = f"{path}: line {first + at[lo]}"
     n_fields = _loadtxt(lines[lo : lo + 1], dtype=str).shape[1]
     if n_fields != 3:
         raise DataError(f"{where}: expected 3 fields, got {n_fields}")

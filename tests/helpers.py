@@ -423,17 +423,18 @@ def capacity_fixture():
     return grid, net, dist
 
 
-def run_chargesim(args: list[str], cwd) -> subprocess.CompletedProcess:
+def run_chargesim(args: list[str], cwd, env: dict | None = None) -> subprocess.CompletedProcess:
     """Run ``python -m chargesim *args`` in a subprocess and capture its output.
 
     The module form, not a console script found on PATH: a script can belong
     to another install, and none exists in a checkout.
     """
-    return run_python(["-m", "chargesim", *args], cwd)
+    return run_python(["-m", "chargesim", *args], cwd, env)
 
 
-def run_python(args: list[str], cwd) -> subprocess.CompletedProcess:
-    """Run ``python *args`` in a subprocess and capture its output.
+def run_python(args: list[str], cwd, env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a subprocess and capture its output, with
+    the variables in env set on top of this process's environment.
 
     The directory holding the imported package goes first on the child's
     PYTHONPATH as an absolute path, so the child runs the same code as the
@@ -441,7 +442,7 @@ def run_python(args: list[str], cwd) -> subprocess.CompletedProcess:
     installed. CHARGESIM_SEED is dropped so only the command's own flags
     pick the seed.
     """
-    env = dict(os.environ)
+    env = {**os.environ, **(env or {})}
     env.pop("CHARGESIM_SEED", None)
     src = str(Path(chargesim.__file__).resolve().parents[1])
     rest = env.get("PYTHONPATH")

@@ -269,6 +269,40 @@ def test_undecodable_input_csv_exits_3(fixture_dir, tmp_path, key, text, capsys)
     assert err.startswith(f"data error: {bad}: not UTF-8 text") and err.count("\n") == 1
 
 
+# the C locale with Python's UTF-8 mode off: an open() that names no
+# encoding writes ASCII there
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0"}
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(fixture_dir, tmp_path):
+    net = tmp_path / "network.csv"
+    net.write_bytes((fixture_dir / "network.csv").read_bytes().replace(b"cp", "pé".encode()))
+    out = tmp_path / "out"
+    r = run_chargesim(
+        ["simulate", "-c", str(fixture_dir / "scenario.cfg"), "--out", str(out),
+         "--n-ev", "15", "--set", "max_range_km=20", "--set", f"network_csv={net}",
+         "--dump-ledger"],
+        tmp_path, ASCII_LOCALE,
+    )
+    assert r.returncode == 0, r.stderr
+    assert sorted(p.name for p in out.iterdir()) == [
+        "ledger.csv", "manifest.json", "metrics.csv", "summary.json"
+    ]
+    ids = {line.split(",")[1] for line in (out / "ledger.csv").read_text("utf-8").splitlines()[1:]}
+    assert ids and all(i.startswith("pé") for i in ids)
+
+    copy = tmp_path / "copy.csv"
+    r = run_python(
+        ["-c", "import sys; from chargesim import load_network_csv; "
+               "from chargesim.fixtures import write_network_csv; "
+               "write_network_csv(load_network_csv(sys.argv[1]), sys.argv[2])",
+         str(net), str(copy)],
+        tmp_path, ASCII_LOCALE,
+    )
+    assert r.returncode == 0, r.stderr
+    assert copy.read_bytes() == net.read_bytes()
+
+
 def test_undecodable_config_exits_2(fixture_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes((fixture_dir / "scenario.cfg").read_bytes() + b"# \xff\xfe\n")

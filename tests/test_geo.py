@@ -1,11 +1,13 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chargesim.geo import EARTH_RADIUS_KM, KM_PER_DEG_LAT, GeoPoint, distance_km, offset_km
+from chargesim.geo import EARTH_RADIUS_KM, KM_PER_DEG_LAT, GeoPoint, distance_km, offset_km, wrap_lon
+from chargesim.population import load_population_csv
 
 lat_st = st.floats(min_value=-89.0, max_value=89.0)
 lon_st = st.floats(min_value=-180.0, max_value=180.0)
@@ -76,6 +78,29 @@ def test_longitude_is_normalized():
     assert p.lon_deg == pytest.approx(-170.0, abs=1e-12)
     q = GeoPoint(0.0, -190.0)
     assert q.lon_deg == pytest.approx(170.0, abs=1e-12)
+
+
+# +-180 and +-540 and their float neighbours: (lon + 180) % 360 rounds
+# 360 - 2.8e-14 up to 360 at the neighbour below -180
+WRAP_EDGES = [
+    float(v) for c in (-540.0, -180.0, 180.0, 540.0)
+    for v in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf))
+]
+
+
+def test_longitude_wrap_stays_below_180(tmp_path):
+    assert GeoPoint(0.0, -180.00000000000003).lon_deg == -180.0
+    scalar = [GeoPoint(0.0, v).lon_deg for v in WRAP_EDGES]
+    assert all(-180.0 <= w < 180.0 for w in scalar)
+    path = tmp_path / "edges.csv"
+    path.write_text("lat,lon,population\n" + "".join(f"0,{v!r},1\n" for v in WRAP_EDGES))
+    loaded = load_population_csv(path).lon_deg
+    assert loaded.tobytes() == np.array(scalar).tobytes()
+    # wrap_lon on floats and on an array: the same bits
+    out = [v for v in WRAP_EDGES if not -180.0 <= v < 180.0]
+    wrapped = wrap_lon(np.array(out))
+    assert wrapped.tobytes() == np.array([wrap_lon(v) for v in out]).tobytes()
+    assert np.all((wrapped >= -180.0) & (wrapped < 180.0))
 
 
 def test_east_offset_exact_on_equator():

@@ -246,3 +246,27 @@ def test_loader_error_lines(tmp_path):
     empty.write_text("")
     with pytest.raises(DataError, match="empty"):
         load_network_csv(empty)
+
+
+def test_loader_rejects_a_quote_left_open(tmp_path):
+    path = tmp_path / "net.csv"
+    path.write_text('id,lat,lon,kind,power_kw\ncp1,0,12,DC,"50\n')
+    with pytest.raises(DataError, match="line 2: unexpected end of data"):
+        load_network_csv(path)
+    # mid-file the open quote runs on over the rows after it; the error
+    # names the line its record starts on
+    path.write_text('id,lat,lon,kind,power_kw\ncp0,0,11,AC,22\ncp1,0,12,DC,"50\ncp2,0,13,AC,22\n')
+    with pytest.raises(DataError, match="line 3: unexpected end of data"):
+        load_network_csv(path)
+
+
+def test_loader_errors_name_file_lines(tmp_path):
+    # blank lines, and a quoted id that spans two lines, count as the
+    # file's lines
+    path = tmp_path / "net.csv"
+    path.write_text('id,lat,lon,kind,power_kw\n\n   \n"cp\n1",0,12,DC,50\n\ncp2,0,13,USB,22\n')
+    with pytest.raises(DataError, match="line 7: charge point cp2: unknown kind"):
+        load_network_csv(path)
+    path.write_text('id,lat,lon,kind,power_kw\n\n""\ncp1,0,12,DC,50\n\ncp2,0,13,AC\n')
+    with pytest.raises(DataError, match="line 6: expected 5 fields, got 4"):
+        load_network_csv(path)
