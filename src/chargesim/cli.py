@@ -46,7 +46,7 @@ from .experiment import (
     run_scenario_grid,
 )
 from .faults import run_fault_sweep
-from .files import write_text_atomic
+from .files import write_csv, write_text_atomic
 from .fixtures import (
     PopulationBlob,
     synthetic_network,
@@ -120,17 +120,17 @@ def _resolve(ns) -> dict:
 # simulate
 
 
-def _metrics_csv(metrics: list[ScenarioMetrics], thresholds: tuple[float, ...]) -> str:
+def _write_metrics_csv(path: str, metrics: list[ScenarioMetrics], thresholds: tuple[float, ...]) -> None:
     header = ["n_ev", "trips", "frac_charge"]
     header += [f"frac_below_{t:g}" for t in thresholds]
     header += ["frac_unroutable", "mean_speed"]
-    lines = [",".join(header)]
+    rows = []
     for m in metrics:
         cells = [str(m.n_ev), str(m.trips), _fmt(m.frac_needing_charge)]
         cells += [_fmt(m.frac_below(t)) for t in thresholds]
         cells += [_fmt(m.frac_unroutable), _fmt(m.mean_speed_kph)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        rows.append(cells)
+    write_csv(path, header, rows, line_end="\n")
 
 
 def _metrics_summary(m: ScenarioMetrics) -> dict:
@@ -195,15 +195,13 @@ def cmd_simulate(ns) -> int:
         cfg = dataclasses.replace(cfg, n_ev=sizes[0])
         total = ScenarioMetrics(n_ev=cfg.n_ev, thresholds=tuple(cfg.speed_thresholds_kph))
         route_lines: list[str] = []
-        ledger_lines = ["replicate,cp_id,ev_id,start_h,end_h"]
+        ledger_rows = []
         for r, (m, results, ledger) in enumerate(run_replicates(cfg, grid, net, dist)):
             total.merge(m)
             route_lines += [
                 json.dumps(_route_record(r, res), sort_keys=True) for res in results
             ]
-            ledger_lines += [
-                f"{r},{cp},{ev},{_fmt(s)},{_fmt(e)}" for cp, ev, s, e in ledger.to_rows()
-            ]
+            ledger_rows += [(r, cp, ev, _fmt(s), _fmt(e)) for cp, ev, s, e in ledger.to_rows()]
         metrics = [total]
         if ns.dump_routes:
             path = os.path.join(out, "routes.jsonl")
@@ -211,13 +209,13 @@ def cmd_simulate(ns) -> int:
             outputs.append(path)
         if ns.dump_ledger:
             path = os.path.join(out, "ledger.csv")
-            write_text_atomic(path, "\n".join(ledger_lines) + "\n")
+            write_csv(path, ("replicate", "cp_id", "ev_id", "start_h", "end_h"), ledger_rows, line_end="\n")
             outputs.append(path)
     else:
         metrics = run_scenario_grid(cfg, sizes, grid=grid, net=net, dist=dist)
 
     csv_path = os.path.join(out, "metrics.csv")
-    write_text_atomic(csv_path, _metrics_csv(metrics, tuple(cfg.speed_thresholds_kph)))
+    _write_metrics_csv(csv_path, metrics, tuple(cfg.speed_thresholds_kph))
     outputs.append(csv_path)
     summary = {
         "seed": opts["seed"],
@@ -273,14 +271,14 @@ def cmd_faults(ns) -> int:
         rows = swept if rows is None else [a.merge(b) for a, b in zip(rows, swept)]
 
     out = _out_dir(ns)
-    lines = ["p_f,trips,needed_charge,stranded,unroutable,p_s,ci_low,ci_high"]
-    for row in rows:
-        lines.append(
-            f"{_fmt(row.p_f)},{row.trips},{row.needed_charge},{row.stranded},"
-            f"{row.unroutable},{_fmt(row.p_s)},{_fmt(row.ci_low)},{_fmt(row.ci_high)}"
-        )
     csv_path = os.path.join(out, "faults.csv")
-    write_text_atomic(csv_path, "\n".join(lines) + "\n")
+    write_csv(
+        csv_path,
+        ("p_f", "trips", "needed_charge", "stranded", "unroutable", "p_s", "ci_low", "ci_high"),
+        [(_fmt(row.p_f), row.trips, row.needed_charge, row.stranded, row.unroutable,
+          _fmt(row.p_s), _fmt(row.ci_low), _fmt(row.ci_high)) for row in rows],
+        line_end="\n",
+    )
     _write_manifest(out, ns, opts, [csv_path], t0)
     for row in rows:
         print(
@@ -306,12 +304,13 @@ def cmd_capacity(ns) -> int:
     result = capacity_search(cfg, threshold, target, grid=grid, net=net, dist=dist)
 
     out = _out_dir(ns)
-    probe_lines = ["n_ev,failures,trials,upper_ci"]
-    probe_lines += [
-        f"{p.n_ev},{p.failures},{p.trials},{_fmt(p.upper_ci)}" for p in result.probes
-    ]
     csv_path = os.path.join(out, "capacity.csv")
-    write_text_atomic(csv_path, "\n".join(probe_lines) + "\n")
+    write_csv(
+        csv_path,
+        ("n_ev", "failures", "trials", "upper_ci"),
+        [(p.n_ev, p.failures, p.trials, _fmt(p.upper_ci)) for p in result.probes],
+        line_end="\n",
+    )
     report = {
         "found": result.found,
         "capacity_n_ev": result.n_ev,

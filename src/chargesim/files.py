@@ -51,17 +51,26 @@ def is_blank(record: str | list[str]) -> bool:
     return len(fields) < 2 and not "".join(fields).strip()
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """text to path as UTF-8, through a temporary file beside it."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+@contextmanager
+def _replacing(path, newline: str | None = None):
+    """A file open for writing as UTF-8 in place of path: a temporary file
+    beside it that replaces path once the block ends without error."""
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        yield fh
     os.replace(tmp, path)
 
 
-def write_csv(path, header: tuple[str, ...], rows) -> None:
-    """header, then rows, to path as UTF-8 CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
+def write_text_atomic(path, text: str) -> None:
+    """text to path as UTF-8, through a temporary file beside it."""
+    with _replacing(path) as fh:
+        fh.write(text)
+
+
+def write_csv(path, header, rows, *, line_end: str) -> None:
+    """header, then rows, to path as UTF-8 CSV through a temporary file
+    beside it; fields that hold a comma, quote or line break are quoted."""
+    with _replacing(path, newline="") as fh:
+        w = csv.writer(fh, lineterminator=line_end)
         w.writerow(header)
         w.writerows(rows)

@@ -91,9 +91,10 @@ def synthetic_network(
 
 def write_population_csv(grid: PopulationGrid, path) -> None:
     cells = zip(grid.lat_deg.tolist(), grid.lon_deg.tolist(), grid.population.tolist())
-    write_csv(path, POPULATION_HEADER, ([f"{lat:.8f}", f"{lon:.8f}", f"{pop:.6g}"] for lat, lon, pop in cells))
+    rows = ([f"{lat:.8f}", f"{lon:.8f}", f"{pop:.6g}"] for lat, lon, pop in cells)
+    write_csv(path, POPULATION_HEADER, rows, line_end="\r\n")
 
 
 def write_network_csv(net: ChargeNetwork, path) -> None:
     rows = ([p.id, f"{p.location.lat_deg:.8f}", f"{p.location.lon_deg:.8f}", p.kind, f"{p.power_kw:g}"] for p in net.points)
-    write_csv(path, NETWORK_HEADER, rows)
+    write_csv(path, NETWORK_HEADER, rows, line_end="\r\n")

@@ -9,6 +9,7 @@ their cell so endpoints do not collapse onto cell centres.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -236,22 +237,41 @@ def _bad_cells(cells: np.ndarray) -> np.ndarray:
 
 
 def _raise_first_bad_row(path, cells: np.ndarray | None) -> NoReturn:
-    """Raise DataError naming the line of the first row of path that is not
-    a cell. cells is the body as _parse gave it, or None when it rejected a
-    row: that row is then found by bisection with the same parser, unless a
-    row before it parses to no cell. Only this path numbers the lines."""
+    """Raise DataError naming the line of the first record of path that is
+    not a cell. A strict csv.reader splits the lines the fast path parses
+    into records, where np.loadtxt splits them: a quoted field may span
+    lines. A record that csv.reader rejects, which np.loadtxt may still
+    read, is the fault named, unless a record before it is bad. cells is the body as _parse gave it, or None when it rejected a
+    row: that row is then found by bisection over the records with the same
+    parser, unless a row before it parses to no cell. Only this path
+    numbers the lines."""
     with csv_body(path, "population grid", POPULATION_HEADER) as (fh, first):
         body = list(fh)
-    # row k is body[at[k]], on line first + at[k]
+    # lines[j] is body[at[j]], on line first + at[j]
     at = [i for i, line in enumerate(body) if "," in line or not is_blank(line)]
     lines = [body[i] for i in at]
-    # lines[:lo] parse, as the arrays in good; when cells is None,
-    # lines[lo:hi] hold a row that does not
-    lo, hi = (0, len(lines)) if cells is None else (len(lines), len(lines))
+    records, starts = [], []  # each record's text, and the line it starts on
+    reader = csv.reader(lines, strict=True)
+    read = 0  # lines taken into records
+    broken = None
+    try:
+        for _ in reader:
+            records.append("".join(lines[read : reader.line_num]))
+            starts.append(first + at[read])
+            read = reader.line_num
+    except csv.Error as exc:
+        broken = DataError(f"{path}: line {first + at[read]}: {exc}")
+    n_split = len(records)
+    if broken is not None:
+        # the rejected record and all after it, as one unit
+        records.append("".join(lines[read:]))
+    # records[:lo] parse, as the arrays in good; when cells is None,
+    # records[lo:hi] hold a row that does not
+    lo, hi = (0, len(records)) if cells is None else (len(records), len(records))
     good = [np.empty((0, 3)) if cells is None else cells]
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        part = _parse(lines[lo:mid])
+        part = _parse(records[lo:mid])
         if part is None:
             hi = mid
         else:
@@ -261,21 +281,24 @@ def _raise_first_bad_row(path, cells: np.ndarray | None) -> NoReturn:
     bad = _bad_cells(cells)
     if bad.any():
         k = int(np.argmax(bad))
-        lat, lon, pop = map(float, cells[k])
-        why = (f"population not finite: {pop}" if not math.isfinite(pop)
-               else f"negative population {pop}" if pop < 0
-               else f"latitude out of range: {lat}" if not -90.0 <= lat <= 90.0
-               else f"longitude not finite: {lon}")
-        raise DataError(f"{path}: line {first + at[k]}: {why}")
-    where = f"{path}: line {first + at[lo]}"
-    n_fields = _loadtxt(lines[lo : lo + 1], dtype=str).shape[1]
-    if n_fields != 3:
-        raise DataError(f"{where}: expected 3 fields, got {n_fields}")
-    try:
-        _loadtxt(lines[lo : lo + 1])
-    except ValueError as exc:
-        raise DataError(f"{where}: {str(exc).replace(' at row 0, column ', ' in column ')}") from exc
-    raise DataError(f"{where}: cannot parse the row")
+        if k < n_split:
+            lat, lon, pop = map(float, cells[k])
+            why = (f"population not finite: {pop}" if not math.isfinite(pop)
+                   else f"negative population {pop}" if pop < 0
+                   else f"latitude out of range: {lat}" if not -90.0 <= lat <= 90.0
+                   else f"longitude not finite: {lon}")
+            raise DataError(f"{path}: line {starts[k]}: {why}")
+    elif lo < n_split:
+        where = f"{path}: line {starts[lo]}"
+        n_fields = _loadtxt(records[lo : lo + 1], dtype=str).shape[1]
+        if n_fields != 3:
+            raise DataError(f"{where}: expected 3 fields, got {n_fields}")
+        try:
+            _loadtxt(records[lo : lo + 1])
+        except ValueError as exc:
+            raise DataError(f"{where}: {str(exc).replace(' at row 0, column ', ' in column ')}") from exc
+        raise DataError(f"{where}: cannot parse the row")
+    raise broken
 
 
 def _jitter_within_cell(grid: PopulationGrid, idx: int, rng: np.random.Generator) -> GeoPoint:

@@ -16,17 +16,22 @@ before departing. The planner searches stop sequences with a goal-directed
   * in reservation-aware mode the wait at a point comes from the ledger's
     earliest free slot; reservation-blind planning assumes zero wait and
     discovers the real queue only at commit time;
-  * labels pop in order of f, the departure plus the straight-line drive
-    to the destination; the search stops once f exceeds the best known
-    arrival, and a label whose f exceeds it is not pushed (tested first
-    at arrival, which bounds f before the charge and the ledger probe);
+  * labels pop in order of f, the departure plus a lower bound on the
+    rest of the trip: the straight-line drive to the destination, plus
+    the time that drive's missing charge (what it uses beyond the label's
+    charge above the floor) takes at the fastest rate any stop gives;
+  * ub is the least arrival known so far: a pushed label that can finish
+    directly gives one, its departure plus the last leg, and so does each
+    popped arrival. The search stops once f exceeds ub, and a label whose
+    f exceeds ub is not pushed (tested first at arrival with the arrival
+    charge, which bounds f before the charge and the ledger probe);
   * a new label at a point is cut when a label kept there departs no
     later, with at least as much charge and a (stop count, stop ids) key
     no greater; kept labels that the new one dominates this way are
-    dropped;
+    dropped, and skipped when they pop;
   * a trip that pops over MAX_LABELS labels before it finds an arrival is
-    unroutable; once an arrival is known, the A* stop bounds the search,
-    so every search ends in bounded time;
+    unroutable (skipped pops count); once an arrival is known, the A* stop
+    bounds the search, so every search ends in bounded time;
   * a trip that needs a charge is unroutable at once when no point outside
     the exclude set lies within reach of the destination: no label departs
     with more charge than the larger of its initial charge and the charge
@@ -35,11 +40,31 @@ before departing. The planner searches stop sequences with a goal-directed
 Ties on arrival break toward fewer stops, then the lexicographically
 smallest stop-id sequence, so plans are deterministic.
 
-The cut is exact (A*; Hart, Nilsson and Raphael, 1968): legs run at
-constant speed, waits and charges are never negative, and the haversine
-obeys the triangle inequality to about 1e-12 km, so f, taken with the
-distance less BOUND_SLACK_KM, stays strictly below the rounded arrival of
-every completion. A label that could win or tie never meets the strict cut.
+The cuts are exact, and only a pruned search (RouterConfig.prune) makes
+them; the unpruned one orders its heap by the straight-line bound alone
+and cuts nothing but dominated labels.
+
+  * The bound is admissible, so this is A* (Hart, Nilsson and Raphael,
+    1968). Legs run at constant speed, waits are never negative, and the
+    haversine obeys the triangle inequality to about 1e-12 km, so every
+    completion drives at least the straight line. It reaches the
+    destination at or above the floor, so it adds at least the missing
+    charge, and no stop charges faster than the larger of the vehicle's
+    DC and AC limits. Both terms take the distance less BOUND_SLACK_KM,
+    and the charge term is scaled by 1 - 1e-9, so f stays strictly below
+    the rounded arrival of every completion. This is the potential-based
+    charging-stop bound of Baum et al. (below).
+  * ub is the arrival of a real route, so a label whose f exceeds it can
+    neither win nor tie; the cuts are strict, so ties survive. The plan
+    and its tie-break still come from pops: the label that set ub needs
+    no charge to finish, so its f is below its arrival and it pops before
+    the stop fires, and its pop computes the same float. This is
+    incumbent pruning, as in branch and bound.
+  * A dropped label is skipped by the dominance argument below: the label
+    that dropped it, or one that dropped that in turn, is in the heap with
+    no larger f, and through any continuation arrives no later with a
+    smaller key. A dropped label is held until the trip ends, so its id
+    is not reused while the search runs.
 
 The dominance is exact. The ledger's earliest slot never decreases as the
 arrival time or the charge duration grows, the charge duration never
@@ -61,7 +86,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 
-from .ev import EvParams, charge_duration_h, effective_charge_kw, soc_drop
+from .ev import EvParams, effective_charge_kw
 from .geo import GeoPoint, distance_km
 from .network import ChargeNetwork
 from .reservations import Booking, ReservationLedger
@@ -198,61 +223,78 @@ def plan_route(
     # arr, slot, soc_in); after f the heap order agrees with the final
     # tie-break preference. A label is pushed once per stop-id sequence, so
     # heap comparison ends at seq and never reaches loc or parent, which
-    # cannot be ordered
-    speed = ev.speed_kph
-    to_dest: dict[str, float] = {}  # point id -> km to the destination
-    heap = [(req.depart_h + (direct - BOUND_SLACK_KM) / speed, req.depart_h, 0, (), initial_soc,
-             req.origin, direct, None, None, None, None, None)]
+    # cannot be ordered. The loop inlines span_km, soc_drop and
+    # charge_duration_h as the same operations in the same order
+    speed, range_km, scale = ev.speed_kph, ev.max_range_km, ev.route_scale
+    per_soc_km = range_km * scale  # soc_drop's divisor
+    battery, target = ev.battery_kwh, ev.charge_target_soc
+    aware, prune = cfg.mode == AWARE, cfg.prune
+    # the bound's hours per unit of missing charge; 0 leaves the unpruned
+    # search its distance-only bound, bit for bit
+    charge_h = battery / max(ev.dc_charge_kw, ev.onboard_ac_limit_kw) * (1 - 1e-9) if prune else 0.0
+    # point id -> (km to the destination, the bound's drive hours, the
+    # charge it needs to get there, its charge power)
+    to_dest: dict[str, tuple[float, float, float, float]] = {}
+    dh = direct - BOUND_SLACK_KM
+    gap = dh / per_soc_km - (initial_soc - floor)
+    heap = [(req.depart_h + dh / speed + (gap * charge_h if gap > 0.0 else 0.0), req.depart_h, 0, (),
+             initial_soc, req.origin, direct, None, None, None, None, None)]
     pareto: dict[str, list[tuple]] = {}  # point id -> labels kept there
+    dead: dict[int, tuple] = {}  # id -> label dropped from pareto; holding it keeps its id unique
     best = None  # (arrival, label)
-    best_arrival = float("inf")
+    best_arrival = ub = float("inf")  # best popped arrival; least known arrival
     popped = 0
 
     while heap:
         label = heapq.heappop(heap)
         f, dep, n_stops, seq, soc, loc, d_dest = label[:7]
-        if cfg.prune and f > best_arrival:
+        if prune and f > ub:
             break
         popped += 1
         if best is None and popped > MAX_LABELS:
             return Unroutable(req.ev_id, f"label budget exhausted at {MAX_LABELS} labels", direct)
-        if d_dest <= span_km(ev, soc, floor):
+        if prune and id(label) in dead:
+            continue
+        span = max(0.0, soc - floor) * range_km * scale
+        if d_dest <= span:
             arrival = dep + d_dest / speed
             if best is None or (arrival, n_stops, seq) < (best_arrival, *best[1][2:4]):
                 best = (arrival, label)
                 best_arrival = arrival
+                ub = min(ub, arrival)
             # extending a completed label cannot beat its own arrival:
             # charge time is non-negative and legs obey the triangle
             # inequality, so skip the extensions
             continue
-        for d_leg, cp in net.within_radius(loc, span_km(ev, soc, floor)):
+        for d_leg, cp in net.within_radius(loc, span):
             if cp.id in exclude:
                 continue
-            d_cp = to_dest.get(cp.id)
-            if d_cp is None:
-                d_cp = to_dest[cp.id] = distance_km(cp.location, req.destination)
-            h = (d_cp - BOUND_SLACK_KM) / speed
+            memo = to_dest.get(cp.id)
+            if memo is None:
+                d_cp = distance_km(cp.location, req.destination)
+                memo = to_dest[cp.id] = (d_cp, (d_cp - BOUND_SLACK_KM) / speed,
+                                         (d_cp - BOUND_SLACK_KM) / per_soc_km,
+                                         effective_charge_kw(ev, cp.kind, cp.power_kw))
+            d_cp, drive_h, need, kw = memo
             arr = dep + d_leg / speed
-            if cfg.prune and arr + h > best_arrival:
-                continue
-            soc_in = soc - soc_drop(ev, d_leg)
-            if soc_in >= ev.charge_target_soc:
+            soc_in = soc - d_leg / per_soc_km
+            if prune:
+                gap = need - (soc_in - floor)
+                if arr + drive_h + (gap * charge_h if gap > 0.0 else 0.0) > ub:
+                    continue
+            if soc_in >= target:
                 # already above the charge target: stop adds nothing
                 duration = 0.0
                 slot = arr
                 soc_out = soc_in
             else:
-                duration = charge_duration_h(
-                    ev, soc_in, ev.charge_target_soc,
-                    effective_charge_kw(ev, cp.kind, cp.power_kw),
-                )
-                if cfg.mode == AWARE:
-                    slot = ledger.earliest_slot(cp.id, arr, duration, ignore_ev)
-                else:
-                    slot = arr
-                soc_out = ev.charge_target_soc
+                duration = (target - soc_in) * battery / kw
+                slot = ledger.earliest_slot(cp.id, arr, duration, ignore_ev) if aware else arr
+                soc_out = target
             ndep = slot + duration
-            if cfg.prune and ndep + h > best_arrival:
+            gap = need - (soc_out - floor)
+            nf = ndep + drive_h + (gap * charge_h if gap > 0.0 else 0.0)
+            if prune and nf > ub:
                 continue
             n, nseq = n_stops + 1, seq + (cp.id,)
             kept = pareto.setdefault(cp.id, [])
@@ -261,12 +303,17 @@ def plan_route(
             if any(k[1] <= ndep and k[4] >= soc_out and (k[2] < n or k[2] == n and k[3] <= nseq)
                    for k in kept):
                 continue
-            kept[:] = [k for k in kept if not (ndep <= k[1] and soc_out >= k[4]
-                                               and (n < k[2] or n == k[2] and nseq <= k[3]))]
-            new = (ndep + h, ndep, n, nseq, soc_out, cp.location, d_cp,
+            stale = [k for k in kept if ndep <= k[1] and soc_out >= k[4]
+                     and (n < k[2] or n == k[2] and nseq <= k[3])]
+            if stale:
+                dead.update((id(k), k) for k in stale)
+                kept[:] = [k for k in kept if id(k) not in dead]
+            new = (nf, ndep, n, nseq, soc_out, cp.location, d_cp,
                    label, d_leg, arr, slot, soc_in)
             kept.append(new)
             heapq.heappush(heap, new)
+            if prune and d_cp <= max(0.0, soc_out - floor) * range_km * scale:
+                ub = min(ub, ndep + d_cp / speed)
 
     if best is None:
         return Unroutable(req.ev_id, NO_ROUTE, direct)

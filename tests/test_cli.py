@@ -1,3 +1,4 @@
+import csv
 import json
 import multiprocessing
 
@@ -301,6 +302,30 @@ def test_outputs_are_utf8_under_an_ascii_locale(fixture_dir, tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert copy.read_bytes() == net.read_bytes()
+
+
+def test_ledger_quotes_point_ids_that_hold_commas(fixture_dir, tmp_path):
+    # a quoted id may hold a comma in network.csv; ledger.csv must quote it
+    # back, or its rows gain a field under the five-field header
+    with open(fixture_dir / "network.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    net = tmp_path / "network.csv"
+    with open(net, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + [["c," + row[0], *row[1:]] for row in rows])
+    args = ["simulate", "-c", str(fixture_dir / "scenario.cfg"), "--n-ev", "15",
+            "--set", "max_range_km=20", "--dump-ledger"]
+    assert main([*args, "--out", str(tmp_path / "plain")]) == 0
+    assert main([*args, "--out", str(tmp_path / "comma"), "--set", f"network_csv={net}"]) == 0
+    ledgers = {}
+    for d in ("plain", "comma"):
+        with open(tmp_path / d / "ledger.csv", newline="", encoding="utf-8") as fh:
+            ledgers[d] = list(csv.reader(fh))
+    assert len(ledgers["comma"]) > 1
+    assert all(len(row) == 5 for row in ledgers["comma"])
+    assert ledgers["comma"] == [ledgers["plain"][0]] + [
+        [r, "c," + cp_id, *rest] for r, cp_id, *rest in ledgers["plain"][1:]
+    ]
+    assert b'"c,cp' in (tmp_path / "comma" / "ledger.csv").read_bytes()
 
 
 def test_undecodable_config_exits_2(fixture_dir, tmp_path, capsys):

@@ -220,3 +220,44 @@ def test_paper_scale_grid_loads_bit_identical_to_the_loop(tmp_path):
     got = load_population_csv(path)
     assert len(got) == 60_734
     _assert_same_arrays(got, loop_load_population_csv(path))
+
+
+
+def test_an_open_quote_names_the_line_it_opens_on(tmp_path):
+    # loadtxt carries the quoted field over the line end, so the fault is
+    # the record that starts on line 2, though line 2 alone would parse
+    path = _write(tmp_path, 'lat,lon,population\n0,12,"50\n0,12,1\n')
+    assert _error(load_population_csv, path) == f"{path}: line 2: unexpected end of data"
+
+
+def _spanning_text(rows: list[list[str]], blanks: list[list[str]]) -> tuple[str, list[int]]:
+    """The rows under a header, blanks[r] before row r, LF line ends; and
+    the line each row starts on."""
+    lines, starts = ["lat,lon,population"], []
+    for row, before in zip(rows, blanks):
+        lines += before
+        starts.append(1 + sum(line.count("\n") + 1 for line in lines))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n", starts
+
+
+@pytest.mark.parametrize("kind", sorted(FAULTS))
+@pytest.mark.parametrize("seed", range(3))
+def test_records_split_where_loadtxt_splits_them(kind, seed, tmp_path):
+    # quoted latitudes and longitudes that run over a line end; the line
+    # they end on holds a comma, so it is never taken for a blank line. The
+    # file loads as the loop loads it, and a fault names the line its
+    # record starts on, which neither a line count nor a record count gives
+    rng = np.random.default_rng([seed, len(kind), 21])
+    rows = _random_rows(rng, int(rng.integers(2, 40)))
+    for r, row in enumerate(rows):
+        if r == 0 or rng.random() < 0.3:
+            col = int(rng.integers(2))
+            row[col] = '"' + row[col].strip('"') + '\n"'
+    blanks = [[str(rng.choice(BLANKS)) for _ in range(int(rng.geometric(0.7)) - 1)] for _ in rows]
+    path = _write(tmp_path, _spanning_text(rows, blanks)[0])
+    _assert_same_arrays(load_population_csv(path), loop_load_population_csv(path))
+    r = int(rng.integers(1, len(rows)))
+    _inject(rows, r, kind, rng)
+    text, starts = _spanning_text(rows, blanks)
+    assert _line(_error(load_population_csv, _write(tmp_path, text))) == starts[r]

@@ -389,6 +389,70 @@ def test_label_budget_reason(monkeypatch):
     assert [s.cp_id for s in plan.stops] == ["s1", "s2"]
 
 
+class CountingLedger(ReservationLedger):
+    """A ledger that records the point of every earliest_slot call."""
+
+    def __init__(self):
+        super().__init__()
+        self.probed = []
+
+    def earliest_slot(self, cp_id, *args):
+        self.probed.append(cp_id)
+        return super().earliest_slot(cp_id, *args)
+
+
+def test_charge_bound_and_incumbent_cut_ledger_probes():
+    # the corridor plus three slow AC points behind a ten-hour queue. From
+    # s1 the neighbours come in distance order s2, y, w, x. Pushing s2 gives
+    # a label that can finish directly, so its arrival (2.13 h) becomes the
+    # incumbent bound before any arrival pops: y, behind the origin, and x,
+    # far off the corridor, then fail the straight-line bound against it.
+    # w, near s2, passes the straight-line bound (1.88 h) but arrives with
+    # 0.23 charge, and the charge it still needs to reach the destination
+    # takes at least 0.27 h at the fastest rate, so the charge term cuts it.
+    # A search without these cuts probes y, w and x from s1 as well.
+    req, net = corridor_fixture()
+    anchor = req.origin
+    net = ChargeNetwork(net.points + [
+        ChargePoint(cp_id, offset_km(anchor, east, north), "AC", 7.0)
+        for cp_id, east, north in [("x", 80.0, 46.0), ("y", 15.0, -40.0), ("w", 102.0, 12.0)]
+    ])
+    led = CountingLedger()
+    for cp_id in ("x", "y", "w"):
+        led.commit(Booking(cp_id, 99, 0.0, 10.0))
+    plan = plan_route(req, net, led, CFG)
+    assert led.probed == ["y", "s1", "s2"]
+    assert [s.cp_id for s in plan.stops] == ["s1", "s2"]
+    assert plan == plan_route(req, net, led, dataclasses.replace(CFG, prune=False))
+    best = enumerate_best(req, net, led, CFG)
+    assert (plan.arrival_h, tuple(s.cp_id for s in plan.stops)) == (best[0], best[2])
+
+
+def test_label_budget_counts_stale_labels(monkeypatch):
+    # the search pops the origin, d, b and (b, a), then (d, a), which
+    # (b, a) dominated after it was pushed: it departs a no later, with as
+    # much charge and smaller stop ids. (d, a) is skipped but still counts
+    # against the budget, so the first arrival, (b, a, c), is the sixth pop
+    anchor = GeoPoint(0.0, 30.0)
+    net = ChargeNetwork([
+        ChargePoint(cp_id, offset_km(anchor, east, north), "DC", 50.0)
+        for cp_id, east, north in [("a", 90.0, -5.0), ("b", 60.0, -10.0), ("c", 130.0, 5.0), ("d", 70.0, 10.0)]
+    ])
+    req = TripRequest(1, anchor, offset_km(anchor, 150.0, 0.0))
+    led = ReservationLedger()
+    plan = plan_route(req, net, led, CFG)
+    assert [s.cp_id for s in plan.stops] == ["b", "a", "c"]
+    assert plan == plan_route(req, net, led, dataclasses.replace(CFG, prune=False))
+    best = enumerate_best(req, net, led, CFG)
+    assert (plan.arrival_h, tuple(s.cp_id for s in plan.stops)) == (best[0], best[2])
+    monkeypatch.setattr(router, "MAX_LABELS", 5)
+    out = plan_route(req, net, led, CFG)
+    assert isinstance(out, Unroutable)
+    assert out.reason == "label budget exhausted at 5 labels"
+    monkeypatch.setattr(router, "MAX_LABELS", 6)
+    assert plan_route(req, net, led, CFG) == plan
+
+
 def test_seventy_stops_on_the_equator():
     # 70 DC points 50 km apart and a 3540 km trip: each leg reaches only the
     # next point, so the plan stops at every one of them; no stop budget
