@@ -241,10 +241,10 @@ def _raise_first_bad_row(path, cells: np.ndarray | None) -> NoReturn:
     not a cell. A strict csv.reader splits the lines the fast path parses
     into records, where np.loadtxt splits them: a quoted field may span
     lines. A record that csv.reader rejects, which np.loadtxt may still
-    read, is the fault named, unless a record before it is bad. cells is the body as _parse gave it, or None when it rejected a
-    row: that row is then found by bisection over the records with the same
-    parser, unless a row before it parses to no cell. Only this path
-    numbers the lines."""
+    read, is the fault named, unless a record before it is bad. cells is
+    the body as _parse gave it, or None when it rejected a row: that row is
+    then found by bisection over the records with the same parser, unless a
+    row before it parses to no cell. Only this path numbers the lines."""
     with csv_body(path, "population grid", POPULATION_HEADER) as (fh, first):
         body = list(fh)
     # lines[j] is body[at[j]], on line first + at[j]

@@ -86,7 +86,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 
-from .ev import EvParams, effective_charge_kw
+from .ev import EvParams, charge_duration_h, effective_charge_kw, soc_drop
 from .geo import GeoPoint, distance_km
 from .network import ChargeNetwork
 from .reservations import Booking, ReservationLedger
@@ -223,20 +223,17 @@ def plan_route(
     # arr, slot, soc_in); after f the heap order agrees with the final
     # tie-break preference. A label is pushed once per stop-id sequence, so
     # heap comparison ends at seq and never reaches loc or parent, which
-    # cannot be ordered. The loop inlines span_km, soc_drop and
-    # charge_duration_h as the same operations in the same order
-    speed, range_km, scale = ev.speed_kph, ev.max_range_km, ev.route_scale
-    per_soc_km = range_km * scale  # soc_drop's divisor
-    battery, target = ev.battery_kwh, ev.charge_target_soc
+    # cannot be ordered
+    speed, target = ev.speed_kph, ev.charge_target_soc
     aware, prune = cfg.mode == AWARE, cfg.prune
     # the bound's hours per unit of missing charge; 0 leaves the unpruned
     # search its distance-only bound, bit for bit
-    charge_h = battery / max(ev.dc_charge_kw, ev.onboard_ac_limit_kw) * (1 - 1e-9) if prune else 0.0
+    charge_h = ev.battery_kwh / max(ev.dc_charge_kw, ev.onboard_ac_limit_kw) * (1 - 1e-9) if prune else 0.0
     # point id -> (km to the destination, the bound's drive hours, the
     # charge it needs to get there, its charge power)
     to_dest: dict[str, tuple[float, float, float, float]] = {}
     dh = direct - BOUND_SLACK_KM
-    gap = dh / per_soc_km - (initial_soc - floor)
+    gap = soc_drop(ev, dh) - (initial_soc - floor)
     heap = [(req.depart_h + dh / speed + (gap * charge_h if gap > 0.0 else 0.0), req.depart_h, 0, (),
              initial_soc, req.origin, direct, None, None, None, None, None)]
     pareto: dict[str, list[tuple]] = {}  # point id -> labels kept there
@@ -255,7 +252,7 @@ def plan_route(
             return Unroutable(req.ev_id, f"label budget exhausted at {MAX_LABELS} labels", direct)
         if prune and id(label) in dead:
             continue
-        span = max(0.0, soc - floor) * range_km * scale
+        span = span_km(ev, soc, floor)
         if d_dest <= span:
             arrival = dep + d_dest / speed
             if best is None or (arrival, n_stops, seq) < (best_arrival, *best[1][2:4]):
@@ -273,11 +270,11 @@ def plan_route(
             if memo is None:
                 d_cp = distance_km(cp.location, req.destination)
                 memo = to_dest[cp.id] = (d_cp, (d_cp - BOUND_SLACK_KM) / speed,
-                                         (d_cp - BOUND_SLACK_KM) / per_soc_km,
+                                         soc_drop(ev, d_cp - BOUND_SLACK_KM),
                                          effective_charge_kw(ev, cp.kind, cp.power_kw))
             d_cp, drive_h, need, kw = memo
             arr = dep + d_leg / speed
-            soc_in = soc - d_leg / per_soc_km
+            soc_in = soc - soc_drop(ev, d_leg)
             if prune:
                 gap = need - (soc_in - floor)
                 if arr + drive_h + (gap * charge_h if gap > 0.0 else 0.0) > ub:
@@ -288,7 +285,7 @@ def plan_route(
                 slot = arr
                 soc_out = soc_in
             else:
-                duration = (target - soc_in) * battery / kw
+                duration = charge_duration_h(ev, soc_in, target, kw)
                 slot = ledger.earliest_slot(cp.id, arr, duration, ignore_ev) if aware else arr
                 soc_out = target
             ndep = slot + duration
@@ -303,16 +300,20 @@ def plan_route(
             if any(k[1] <= ndep and k[4] >= soc_out and (k[2] < n or k[2] == n and k[3] <= nseq)
                    for k in kept):
                 continue
-            stale = [k for k in kept if ndep <= k[1] and soc_out >= k[4]
-                     and (n < k[2] or n == k[2] and nseq <= k[3])]
-            if stale:
-                dead.update((id(k), k) for k in stale)
-                kept[:] = [k for k in kept if id(k) not in dead]
+            if prune:
+                stale = [k for k in kept if ndep <= k[1] and soc_out >= k[4]
+                         and (n < k[2] or n == k[2] and nseq <= k[3])]
+                if stale:
+                    dead.update((id(k), k) for k in stale)
+                    kept[:] = [k for k in kept if id(k) not in dead]
+            else:
+                kept[:] = [k for k in kept if not (ndep <= k[1] and soc_out >= k[4]
+                                                   and (n < k[2] or n == k[2] and nseq <= k[3]))]
             new = (nf, ndep, n, nseq, soc_out, cp.location, d_cp,
                    label, d_leg, arr, slot, soc_in)
             kept.append(new)
             heapq.heappush(heap, new)
-            if prune and d_cp <= max(0.0, soc_out - floor) * range_km * scale:
+            if prune and d_cp <= span_km(ev, soc_out, floor):
                 ub = min(ub, ndep + d_cp / speed)
 
     if best is None:

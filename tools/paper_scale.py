@@ -4,7 +4,7 @@ The paper's question is asked of a national-scale fixture, which none of
 the perfbench workloads reaches. This script builds that fixture with
 `gen-fixtures --seed 1 --width-km 300 --height-km 250 --n-dc 72 --n-ac 636
 --blobs 2 --population 2e5` (60,734 cells, 72 DC + 636 AC points) and runs,
-on both sides, in alternating pairs:
+on both sides, in three alternating pairs (PAIRS):
 
   probe                 simulate --n-ev 16758, aware, seed 0: the fleet
                         the capacity search below finds, one of its probes
@@ -23,7 +23,7 @@ time is measured around its process. The outputs of the two sides are
 compared byte for byte, apart from manifest.json's wall_clock_s. One JSON
 file is written.
 
-    python tools/paper_scale.py --parent HEAD~1 --pairs 3 --out paper_scale.json
+    python tools/paper_scale.py --parent HEAD~1 --out paper_scale.json
     python tools/paper_scale.py --full --out paper_scale.json
 """
 
@@ -57,6 +57,7 @@ RUNS = {
 FULL = ["capacity", "--threshold", "40", "--target", "1e-3", "--n-ev", "40000",
         "--replicates", "1", "--seed", "0", "--threads", "1", "--mode", "aware"]
 SIDES = ("parent", "change")
+PAIRS = 3
 
 
 def git(*args: str) -> str:
@@ -110,7 +111,7 @@ def summary(walls: list[float]) -> dict:
 
 
 def run_case(name: str, argv: list[str], srcs: dict[str, Path], cfg: Path, work: Path,
-             pairs: int) -> dict:
+             pairs: int = PAIRS) -> dict:
     walls: dict[str, list[float]] = {side: [] for side in SIDES}
     diffs = []
     for i in range(pairs):
@@ -135,13 +136,10 @@ def run_case(name: str, argv: list[str], srcs: dict[str, Path], cfg: Path, work:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", default="HEAD", help="revision to compare the working tree against")
-    ap.add_argument("--pairs", type=int, default=3, help="alternating parent/change pairs per run")
     ap.add_argument("--full", action="store_true", help="also run the 40,000-ceiling capacity search")
     ap.add_argument("--out", default="paper_scale.json", help="JSON file to write")
     ap.add_argument("--work", help="work directory (default: a temporary one, removed at exit)")
     ns = ap.parse_args()
-    if ns.pairs < 1:
-        ap.error("--pairs must be at least 1")
 
     with tempfile.TemporaryDirectory(prefix="paper-scale-") as tmp:
         work = Path(ns.work or tmp).resolve()
@@ -160,13 +158,13 @@ def main() -> int:
             "fixture": {"argv": ["chargesim", "gen-fixtures", *FIXTURE],
                         "identical": all((fixtures["parent"] / f).read_bytes() == (fixtures["change"] / f).read_bytes()
                                          for f in ("population.csv", "network.csv"))},
-            "pairs": ns.pairs,
+            "pairs": PAIRS,
             "runs": {},
         }
         # both sides read the change's fixture, so only the code differs
         cfg = fixtures["change"] / "scenario.cfg"
         for name, argv in RUNS.items():
-            report["runs"][name] = run_case(name, argv, srcs, cfg, work, ns.pairs)
+            report["runs"][name] = run_case(name, argv, srcs, cfg, work)
         if ns.full:
             report["full"] = run_case("full", FULL, srcs, cfg, work, 1)
         report["load_average_at_end"] = os.getloadavg()
