@@ -35,13 +35,16 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .ev import EvParams
+from .geo import GeoPoint
 from .network import ChargeNetwork, load_network_csv
 from .population import (
     PopulationGrid,
     RingEmpty,
     load_population_csv,
     sample_destination,
+    sample_first_rings,
     sample_origin,
+    sample_origins,
 )
 from .reservations import ReservationLedger
 from .router import (
@@ -59,6 +62,11 @@ from .triplength import TripLengthDistribution, default_trip_distribution
 
 # trip lengths drawn for one origin before its trip is given up as a data error
 MAX_TRIP_LENGTH_DRAWS = 1000
+
+# trips sampled together by sample_trip_batch. On the benchmark grids a
+# chunk of 16 took about 7% longer a trip than 32, and 64 about 6% less,
+# while the chunk's temporaries, a few MB at 32, grow in proportion
+TRIP_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -143,11 +151,25 @@ def sample_trip(
     Empty rings resample the length, never the origin."""
     priority = rng.random()
     origin = sample_origin(grid, rng)
+    return _trip_to_a_ring(grid, dist, rng, ev_id, priority, origin, dist.sample(rng))
+
+
+def _trip_to_a_ring(
+    grid: PopulationGrid,
+    dist: TripLengthDistribution,
+    rng: np.random.Generator,
+    ev_id: int,
+    priority: float,
+    origin: GeoPoint,
+    trip_km: float,
+) -> TripRequest:
+    """The trip from origin to sample_destination's draw at trip_km, or, while
+    the rings there are empty, at fresh lengths drawn from rng."""
     for _ in range(MAX_TRIP_LENGTH_DRAWS):
-        trip_km = dist.sample(rng)
         try:
             dest = sample_destination(grid, origin, trip_km, rng)
         except RingEmpty:
+            trip_km = dist.sample(rng)
             continue
         return TripRequest(ev_id=ev_id, origin=origin, destination=dest, priority=priority)
     raise DataError(
@@ -176,11 +198,29 @@ def sample_trip_batch(
 
     Trip i draws from SeedSequence(seed, (replicate, i)), priority first;
     sorting by (priority, i) yields a uniform random processing order that
-    interleaves consistently as n grows.
+    interleaves consistently as n grows. Each trip is sample_trip's on its
+    substream, draw for draw, but the trips are sampled TRIP_CHUNK at a
+    time: each trip's first five draws (priority, origin cell, the origin's
+    two jitters, length) come from one call, the chunk's origins and
+    lengths are computed as arrays, and its first destination rings are cut
+    together. A trip whose first ring holds no population goes on alone,
+    through sample_destination, on the same substream.
     """
-    trips = [
-        sample_trip(grid, dist, _trip_rng(seed, replicate, i), ev_id=i) for i in range(start, n)
-    ]
+    trips = []
+    for lo in range(start, n, TRIP_CHUNK):
+        ids = range(lo, min(lo + TRIP_CHUNK, n))
+        rngs = [_trip_rng(seed, replicate, i) for i in ids]
+        u = np.array([rng.random(5) for rng in rngs])
+        origins = sample_origins(grid, u[:, 1], u[:, 2], u[:, 3])
+        lengths = dist.quantile(u[:, 4]).tolist()
+        dests = sample_first_rings(grid, origins, lengths, rngs)
+        for i, rng, priority, origin, trip_km, dest in zip(
+            ids, rngs, u[:, 0].tolist(), origins, lengths, dests
+        ):
+            if dest is None:
+                trips.append(_trip_to_a_ring(grid, dist, rng, i, priority, origin, trip_km))
+            else:
+                trips.append(TripRequest(ev_id=i, origin=origin, destination=dest, priority=priority))
     trips.sort(key=_processing_order)
     return trips
 

@@ -104,33 +104,63 @@ class PopulationGrid:
 
     def ring_candidates(self, p: GeoPoint, trip_km: float, half_width_km: float) -> np.ndarray:
         """Indices, ascending, of the cells whose centres lie within
-        half_width_km + _TILE_MARGIN_KM of the ring at trip_km from p: a
-        superset of the ring, cut by chord length from the cells of the
-        tiles that can reach it."""
+        half_width_km + _TILE_MARGIN_KM of the ring at trip_km from p: the
+        one-origin case of rings_candidates."""
+        return self.rings_candidates([p], [trip_km], half_width_km)[0]
+
+    def rings_candidates(
+        self, points: list[GeoPoint], trip_km: list[float], half_width_km: float
+    ) -> list[np.ndarray]:
+        """For each point and trip length, the indices, ascending, of the
+        cells whose centres lie within half_width_km + _TILE_MARGIN_KM of
+        the ring at that length from the point: a superset of the ring, cut
+        by chord length from the cells of the tiles that can reach it. All
+        the rings are cut together, with one product of the points and the
+        tile centres, one chord cut over the kept tiles' cells and one sort
+        of the (point, cell) keys."""
         t = self._tiles
-        lo = _chord(max(0.0, trip_km - half_width_km - _TILE_MARGIN_KM))
-        hi = _chord(trip_km + half_width_km + _TILE_MARGIN_KM)
-        o = _unit_vectors(math.radians(p.lat_deg), math.radians(p.lon_deg))
+        km = np.asarray(trip_km, dtype=float)
+        lo = _chord(np.maximum(0.0, km - half_width_km - _TILE_MARGIN_KM))
+        hi = _chord(km + half_width_km + _TILE_MARGIN_KM)
+        o = _unit_vectors(
+            np.radians([p.lat_deg for p in points]), np.radians([p.lon_deg for p in points])
+        )
         # for unit vectors u and o, |u - o|**2 = 2 - 2 u.o; by the triangle
-        # inequality a member's chord to p is within its tile's radius of
-        # the centre's
-        d = np.sqrt(np.maximum(2.0 - 2.0 * (t.centre @ o), 0.0))
-        keep = (d - t.radius <= hi) & (d + t.radius >= lo)
-        start, length = t.start[keep], t.length[keep]
-        # each kept tile's run of positions in t.order, end to end
+        # inequality a member's chord to a point is within its tile's
+        # radius of the centre's. d[k, j] is point k's chord to tile j's
+        # centre
+        d = np.sqrt(np.maximum(2.0 - 2.0 * (o.T @ t.centre.T), 0.0))
+        k, tile = np.nonzero((d - t.radius <= hi[:, None]) & (d + t.radius >= lo[:, None]))
+        # each kept (point, tile) pair's run of positions in t.order, end to
+        # end, and at each position its point's unit vector and the bounds
+        # on u.o that put the squared chord 2 - 2 u.o in [lo**2, hi**2]. A
+        # lower bound of 0 is none: a cell at the point may have a u.o that
+        # rounds above 1
+        start, length = t.start[tile], t.length[tile]
         ends = np.cumsum(length)
         pos = np.arange(int(length.sum())) + np.repeat(start - (ends - length), length)
-        # the cells whose squared chord 2 - 2 u.o lies in [lo**2, hi**2]
-        dot = t.xyz.take(pos, axis=0) @ o
-        return np.sort(t.order[pos[(dot >= 1.0 - hi * hi / 2.0) & (dot <= 1.0 - lo * lo / 2.0)]])
+        dot_hi = np.where(lo > 0.0, 1.0 - lo * lo / 2.0, math.inf)
+        ox, oy, oz, dot_lo, dot_hi = np.repeat(
+            np.vstack((o, 1.0 - hi * hi / 2.0, dot_hi))[:, k], length, axis=1
+        )
+        dot = t.x.take(pos) * ox + t.y.take(pos) * oy + t.z.take(pos) * oz
+        hit = np.flatnonzero((dot >= dot_lo) & (dot <= dot_hi))
+        # sorted (point, cell) keys, split at each point's first key
+        n = len(self)
+        keys = np.sort(k[np.searchsorted(ends, hit, side="right")] * n + t.order[pos[hit]])
+        at = np.searchsorted(keys, np.arange(len(points) + 1) * n).tolist()
+        return [keys[at[j] : at[j + 1]] - j * n for j in range(len(points))]
 
 
 @dataclass(frozen=True)
 class _Tiles:
     """The cells binned into tiles of about TILE_KM a side. order holds the
     cell indices tile by tile, ascending within a tile; tile k is
-    order[start[k]:start[k] + length[k]], and xyz holds the cells' unit
-    vectors in that order, one row each. Every member lies within the chord
+    order[start[k]:start[k] + length[k]], and x, y and z hold the
+    components of the cells' unit vectors in that order, each its own
+    contiguous column: a chord cut gathers the columns at scattered
+    positions and sums three products, which is faster than summing the
+    rows of gathered (x, y, z) triples. Every member lies within the chord
     radius[k] of the tile's centre, the unit vector centre[k]. The radius is
     measured from the members, so a query misses no cell whatever the
     binning."""
@@ -140,7 +170,9 @@ class _Tiles:
     length: np.ndarray
     centre: np.ndarray
     radius: np.ndarray
-    xyz: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
 
     @classmethod
     def build(cls, lat_rad: np.ndarray, lon_rad: np.ndarray) -> _Tiles:
@@ -157,12 +189,12 @@ class _Tiles:
         length = np.diff(np.r_[start, len(order)])
         first = order[start]
         centre = _unit_vectors(row_lat[first], (col[start] + 0.5) * col_step[first]).T.copy()
-        xyz = _unit_vectors(lat_rad[order], lon_rad[order]).T.copy()
-        d = xyz - np.repeat(centre, length, axis=0)
-        radius = np.maximum.reduceat(np.sqrt((d * d).sum(axis=1)), start)
-        # ring_candidates takes chords to the centres from 2 - 2 u.o, which
-        # near 0 rounds by up to sqrt(1e-15), about 3e-8, in chord
-        return cls(order, start, length, centre, radius + 1e-7, xyz)
+        x, y, z = _unit_vectors(lat_rad[order], lon_rad[order])
+        dx, dy, dz = (c - np.repeat(centre[:, j], length) for j, c in enumerate((x, y, z)))
+        radius = np.maximum.reduceat(np.sqrt(dx * dx + dy * dy + dz * dz), start)
+        # rings_candidates takes chords to the centres from 2 - 2 u.o,
+        # which near 0 rounds by up to sqrt(1e-15), about 3e-8, in chord
+        return cls(order, start, length, centre, radius + 1e-7, x, y, z)
 
 
 def _unit_vectors(lat, lon) -> np.ndarray:
@@ -172,12 +204,12 @@ def _unit_vectors(lat, lon) -> np.ndarray:
     return np.array([cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)])
 
 
-def _chord(d_km: float) -> float:
-    """The chord, on the unit sphere, of an arc of d_km; inf from half the
+def _chord(d_km: np.ndarray) -> np.ndarray:
+    """The chord, on the unit sphere, of each arc of d_km; inf from half the
     circumference on, so a bound there keeps every chord, even one that
     rounds above 2."""
     a = d_km / (2.0 * EARTH_RADIUS_KM)
-    return 2.0 * math.sin(a) if a < math.pi / 2.0 else math.inf
+    return np.where(a < math.pi / 2.0, 2.0 * np.sin(a), math.inf)
 
 
 def _haversine_km(lat, cos_lat, lon, lat_c, lon_c) -> np.ndarray:
@@ -199,8 +231,13 @@ def load_population_csv(path) -> PopulationGrid:
     Raises DataError with the offending line number on malformed rows.
     """
     with csv_body(path, "population grid", POPULATION_HEADER) as (fh, _):
-        # a line with a comma always holds a row
-        lines = (line for line in fh if "," in line or not is_blank(line))
+        # a line with a comma always holds a row or part of one, and so
+        # does a line with an odd number of quotes: it opens or closes a
+        # quoted field that runs over a line end, even when csv reads it
+        # alone as blank (a line holding only the closing quote)
+        lines = (
+            line for line in fh if "," in line or line.count('"') % 2 or not is_blank(line)
+        )
         head = next(lines, None)
         # an empty body is left to PopulationGrid's "no cells" error;
         # loadtxt would warn on it
@@ -248,7 +285,10 @@ def _raise_first_bad_row(path, cells: np.ndarray | None) -> NoReturn:
     with csv_body(path, "population grid", POPULATION_HEADER) as (fh, first):
         body = list(fh)
     # lines[j] is body[at[j]], on line first + at[j]
-    at = [i for i, line in enumerate(body) if "," in line or not is_blank(line)]
+    at = [
+        i for i, line in enumerate(body)
+        if "," in line or line.count('"') % 2 or not is_blank(line)
+    ]
     lines = [body[i] for i in at]
     records, starts = [], []  # each record's text, and the line it starts on
     reader = csv.reader(lines, strict=True)
@@ -301,15 +341,17 @@ def _raise_first_bad_row(path, cells: np.ndarray | None) -> NoReturn:
     raise broken
 
 
-def _jitter_within_cell(grid: PopulationGrid, idx: int, rng: np.random.Generator) -> GeoPoint:
+def _cell_point(grid: PopulationGrid, idx: int, u_east: float, u_north: float) -> GeoPoint:
     # uniform over the cell's km square; the grid is 1 km cells. Each offset
-    # is the float Generator.uniform(lo, hi) gives, without its argument
-    # handling
+    # is the float Generator.uniform(lo, hi) gives for the draw u, without
+    # its argument handling
     center = GeoPoint(float(grid.lat_deg[idx]), float(grid.lon_deg[idx]))
     lo, hi = -CELL_KM / 2.0, CELL_KM / 2.0
-    east = lo + (hi - lo) * rng.random()
-    north = lo + (hi - lo) * rng.random()
-    return offset_km(center, east, north)
+    return offset_km(center, lo + (hi - lo) * u_east, lo + (hi - lo) * u_north)
+
+
+def _jitter_within_cell(grid: PopulationGrid, idx: int, rng: np.random.Generator) -> GeoPoint:
+    return _cell_point(grid, idx, rng.random(), rng.random())
 
 
 def sample_origin_cell(grid: PopulationGrid, rng: np.random.Generator) -> int:
@@ -321,6 +363,40 @@ def sample_origin_cell(grid: PopulationGrid, rng: np.random.Generator) -> int:
 def sample_origin(grid: PopulationGrid, rng: np.random.Generator) -> GeoPoint:
     idx = sample_origin_cell(grid, rng)
     return _jitter_within_cell(grid, idx, rng)
+
+
+def sample_origins(
+    grid: PopulationGrid, u_cell: np.ndarray, u_east: np.ndarray, u_north: np.ndarray
+) -> list[GeoPoint]:
+    """sample_origin for many trips at once, from each trip's three draws:
+    the same cells and points."""
+    cells = np.searchsorted(grid._cum, u_cell * grid.total_population, side="right")
+    return [
+        _cell_point(grid, c, e, n)
+        for c, e, n in zip(cells.tolist(), u_east.tolist(), u_north.tolist())
+    ]
+
+
+def _pick_in_ring(
+    grid: PopulationGrid,
+    origin: GeoPoint,
+    trip_km: float,
+    half_width_km: float,
+    cand: np.ndarray,
+    rng: np.random.Generator,
+) -> GeoPoint | None:
+    """A population-weighted point in a cell of the ring of half_width_km
+    at trip_km from origin, whose cells cand holds in index order; None,
+    with no draw taken, when the ring holds no population."""
+    d = grid.distances_from(origin, cand)
+    ring = cand[np.abs(d - trip_km) <= half_width_km]
+    weights = grid.population[ring]
+    total = weights.sum()
+    if total <= 0:
+        return None
+    u = rng.random() * total
+    pick = int(np.searchsorted(np.cumsum(weights), u, side="right"))
+    return _jitter_within_cell(grid, int(ring[pick]), rng)
 
 
 def sample_destination(
@@ -343,18 +419,24 @@ def sample_destination(
     if trip_km < 0:
         raise DataError(f"negative trip length: {trip_km}")
     for w in RING_HALF_WIDTHS:
-        cand = grid.ring_candidates(origin, trip_km, w)
-        d = grid.distances_from(origin, cand)
-        mask = np.abs(d - trip_km) <= w
-        if not mask.any():
-            continue
-        ring = cand[mask]
-        weights = grid.population[ring]
-        total = weights.sum()
-        if total <= 0:
-            continue
-        cum = np.cumsum(weights)
-        u = rng.random() * total
-        pick = int(np.searchsorted(cum, u, side="right"))
-        return _jitter_within_cell(grid, int(ring[pick]), rng)
+        dest = _pick_in_ring(grid, origin, trip_km, w, grid.ring_candidates(origin, trip_km, w), rng)
+        if dest is not None:
+            return dest
     raise RingEmpty(f"no populated cell within {RING_HALF_WIDTHS[-1]} km of ring at {trip_km:.1f} km")
+
+
+def sample_first_rings(
+    grid: PopulationGrid,
+    origins: list[GeoPoint],
+    trip_km: list[float],
+    rngs: list[np.random.Generator],
+) -> list[GeoPoint | None]:
+    """For each trip, sample_destination's draw from its first ring, the
+    narrowest, or None where that ring holds no population and no draw was
+    taken. The trips' candidates are cut together."""
+    w = RING_HALF_WIDTHS[0]
+    cands = grid.rings_candidates(origins, trip_km, w)
+    return [
+        _pick_in_ring(grid, origin, km, w, cand, rng)
+        for origin, km, cand, rng in zip(origins, trip_km, cands, rngs)
+    ]

@@ -21,7 +21,7 @@ from chargesim.experiment import (
 )
 from chargesim.geo import GeoPoint, distance_km, offset_km
 from chargesim.network import ChargeNetwork, ChargePoint
-from chargesim.population import PopulationGrid
+from chargesim.population import RING_HALF_WIDTHS, PopulationGrid
 from chargesim.stats import Z_95, wilson_interval, wilson_upper
 from chargesim.triplength import default_trip_distribution
 
@@ -87,6 +87,69 @@ def test_batch_order_is_priority_shuffled_but_complete():
     batch = sample_trip_batch(grid, dist, seed=2, replicate=0, n=40)
     assert sorted(t.ev_id for t in batch) == list(range(40))
     assert [t.ev_id for t in batch] != list(range(40))
+
+
+def gappy_grid() -> PopulationGrid:
+    """Cells along the equator: a populated town, an unpopulated band, then
+    cells 3 km apart, then nothing. First rings land empty between the
+    sparse cells, hold no population in the band, and, for a long trip,
+    every ring is empty."""
+    cells = [(offset_km(ANCHOR, float(x), 0.0), 100.0) for x in range(11)]
+    cells += [(offset_km(ANCHOR, float(x), 0.0), 0.0) for x in range(11, 31)]
+    cells += [(offset_km(ANCHOR, float(x), 0.0), 1.0) for x in range(34, 71, 3)]
+    return grid_of(cells)
+
+
+def test_chunked_batches_match_trip_by_trip_sampling(monkeypatch):
+    # sample_trip_batch against sample_trip on each trip's own substream,
+    # for batch sizes around the chunk and a start inside a chunk; trips
+    # whose first ring is empty, or holds no population, go on alone, and
+    # some of those draw fresh lengths
+    grid, dist = gappy_grid(), default_trip_distribution()
+    chunk, start = experiment.TRIP_CHUNK, 5
+    opened, alone = [], []
+    real_rng, real_alone = experiment._trip_rng, experiment._trip_to_a_ring
+
+    def counting_rng(*args):
+        opened.append(args)
+        return real_rng(*args)
+
+    def counting_alone(grid, dist, rng, ev_id, *args):
+        alone.append(ev_id)
+        return real_alone(grid, dist, rng, ev_id, *args)
+
+    first_empty = first_unpopulated = redrawn = 0
+    for m in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        seed, n = 40 + m, start + m
+        want = sorted(
+            (experiment.sample_trip(grid, dist, real_rng(seed, 1, i), i) for i in range(start, n)),
+            key=experiment._processing_order,
+        )
+        opened.clear()
+        alone.clear()
+        monkeypatch.setattr(experiment, "_trip_rng", counting_rng)
+        monkeypatch.setattr(experiment, "_trip_to_a_ring", counting_alone)
+        got = sample_trip_batch(grid, dist, seed, 1, n, start=start)
+        monkeypatch.undo()
+        assert got == want, m
+        assert sorted(opened) == [(seed, 1, i) for i in range(start, n)], m
+        # which trips the chunk left to go on alone, from the full scan
+        expect_alone = []
+        for trip in got:
+            u = real_rng(seed, 1, trip.ev_id).random(5)
+            km = float(dist.quantile(u[4]))
+            off = np.abs(grid.distances_from(trip.origin) - km)
+            first = off <= RING_HALF_WIDTHS[0]
+            if grid.population[first].sum() <= 0:
+                expect_alone.append(trip.ev_id)
+                first_empty += not first.any()
+                first_unpopulated += first.any()
+                redrawn += grid.population[off <= RING_HALF_WIDTHS[-1]].sum() <= 0
+        assert sorted(alone) == sorted(expect_alone), m
+    # the draws above did reach the cases they were built for
+    assert first_empty > 0 and first_unpopulated > 0 and redrawn > 0, (
+        first_empty, first_unpopulated, redrawn
+    )
 
 
 def test_trip_stream_matches_batches_in_probe_order(monkeypatch):

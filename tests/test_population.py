@@ -377,6 +377,55 @@ def test_ring_candidates_margin_covers_antipodal_rounding():
                     assert list(grid.ring_candidates(origin, trip_km, w)) == [0]
 
 
+def test_rings_cut_together_are_the_rings_cut_alone():
+    # the candidates of many origins cut at once give each origin's ring,
+    # as its one-origin cut and the full scan give it, for origins on, off
+    # and near the antipode of the grid, at every half-width; and for
+    # origins at a cell's centre on short trips, where that cell's u.o may
+    # round above 1
+    rng = np.random.default_rng(127)
+    half = math.pi * EARTH_RADIUS_KM
+    rings = past_antipode = 0
+    for case in range(80):
+        grid, _, span = _random_grid(rng)
+        origins, trips = [], []
+        for _ in range(int(rng.integers(1, 40))):
+            cell = _centre(grid, int(rng.integers(len(grid))))
+            kind = int(rng.integers(4))
+            if kind == 3:
+                origins.append(cell)
+                trips.append(rng.uniform(0.0, 1.0))
+                continue
+            if kind == 0:
+                origin = offset_km(cell, *rng.uniform(-0.5, 0.5, 2))
+            elif kind == 1:  # anywhere on the sphere
+                origin = GeoPoint(math.degrees(math.asin(rng.uniform(-1.0, 1.0))),
+                                  rng.uniform(-180.0, 180.0))
+            else:
+                origin = GeoPoint(-cell.lat_deg + rng.uniform(-0.01, 0.01),
+                                  cell.lon_deg + 180.0 + rng.uniform(-0.01, 0.01))
+            d = float(grid.distances_from(origin)[int(rng.integers(len(grid)))])
+            trip_km = [d + rng.uniform(-3.0, 3.0), rng.uniform(0.0, 2.0 * span),
+                       half - rng.uniform(0.0, 5.0)][int(rng.integers(3))]
+            origins.append(origin)
+            trips.append(max(0.0, trip_km))
+        for w in RING_HALF_WIDTHS:
+            together = grid.rings_candidates(origins, trips, w)
+            assert len(together) == len(origins)
+            for origin, trip_km, cand in zip(origins, trips, together):
+                assert np.all(np.diff(cand) > 0), (case, trip_km, w)
+                alone = grid.ring_candidates(origin, trip_km, w)
+                ring = np.flatnonzero(np.abs(grid.distances_from(origin) - trip_km) <= w)
+                for c in (cand, alone):
+                    assert np.array_equal(
+                        c[np.abs(grid.distances_from(origin, c) - trip_km) <= w], ring
+                    ), (case, trip_km, w)
+                rings += len(ring) > 0
+                past_antipode += trip_km + w > half and len(ring) > 0
+    # the draws above did reach the cases they were built for
+    assert rings > 1000 and past_antipode > 100, (rings, past_antipode)
+
+
 @pytest.mark.parametrize("n", list(range(34)) + [257, 999])
 def test_distances_from_subset_matches_full_scan(n):
     # same floats element for element whatever the subset's length, so the

@@ -261,3 +261,27 @@ def test_records_split_where_loadtxt_splits_them(kind, seed, tmp_path):
     _inject(rows, r, kind, rng)
     text, starts = _spanning_text(rows, blanks)
     assert _line(_error(load_population_csv, _write(tmp_path, text))) == starts[r]
+
+
+@pytest.mark.parametrize("kind", sorted(FAULTS))
+@pytest.mark.parametrize("seed", range(2))
+def test_a_quoted_population_may_close_on_a_line_of_its_own(kind, seed, tmp_path):
+    # the line that holds only a quoted field's closing quote is part of
+    # the field's record, though csv reads that line alone as blank: such
+    # files load as the loop loads them, and a fault names the line its
+    # record starts on
+    path = _write(tmp_path, 'lat,lon,population\n0,12,"50\n"\n1,13,2\n')
+    _assert_same_arrays(load_population_csv(path), loop_load_population_csv(path))
+    rng = np.random.default_rng([seed, len(kind), 22])
+    rows = _random_rows(rng, int(rng.integers(2, 40)))
+    for r, row in enumerate(rows):
+        if r == 0 or rng.random() < 0.3:
+            closing = str(rng.choice(['\n"', '\n \t "', '\n\n"', '\n\n\n  "']))
+            row[2] = '"' + row[2].strip().strip('"') + closing
+    blanks = [[str(rng.choice(BLANKS)) for _ in range(int(rng.geometric(0.7)) - 1)] for _ in rows]
+    path = _write(tmp_path, _spanning_text(rows, blanks)[0])
+    _assert_same_arrays(load_population_csv(path), loop_load_population_csv(path))
+    r = int(rng.integers(1, len(rows)))
+    _inject(rows, r, kind, rng)
+    text, starts = _spanning_text(rows, blanks)
+    assert _line(_error(load_population_csv, _write(tmp_path, text))) == starts[r]
