@@ -35,15 +35,11 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .ev import EvParams
-from .geo import GeoPoint
 from .network import ChargeNetwork, load_network_csv
 from .population import (
     PopulationGrid,
-    RingEmpty,
     load_population_csv,
-    sample_destination,
-    sample_first_rings,
-    sample_origin,
+    sample_destinations,
     sample_origins,
 )
 from .reservations import ReservationLedger
@@ -140,43 +136,6 @@ class ScenarioMetrics:
             self.below[t] += other.below[t]
 
 
-def sample_trip(
-    grid: PopulationGrid,
-    dist: TripLengthDistribution,
-    rng: np.random.Generator,
-    ev_id: int,
-) -> TripRequest:
-    """One trip: a processing priority, the substream's first draw, then a
-    weighted origin, then a length whose destination ring is populated.
-    Empty rings resample the length, never the origin."""
-    priority = rng.random()
-    origin = sample_origin(grid, rng)
-    return _trip_to_a_ring(grid, dist, rng, ev_id, priority, origin, dist.sample(rng))
-
-
-def _trip_to_a_ring(
-    grid: PopulationGrid,
-    dist: TripLengthDistribution,
-    rng: np.random.Generator,
-    ev_id: int,
-    priority: float,
-    origin: GeoPoint,
-    trip_km: float,
-) -> TripRequest:
-    """The trip from origin to sample_destination's draw at trip_km, or, while
-    the rings there are empty, at fresh lengths drawn from rng."""
-    for _ in range(MAX_TRIP_LENGTH_DRAWS):
-        try:
-            dest = sample_destination(grid, origin, trip_km, rng)
-        except RingEmpty:
-            trip_km = dist.sample(rng)
-            continue
-        return TripRequest(ev_id=ev_id, origin=origin, destination=dest, priority=priority)
-    raise DataError(
-        f"no destination found for origin near {origin} after {MAX_TRIP_LENGTH_DRAWS} trip lengths"
-    )
-
-
 def _trip_rng(seed: int, replicate: int, i: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate, i)))
 
@@ -198,13 +157,15 @@ def sample_trip_batch(
 
     Trip i draws from SeedSequence(seed, (replicate, i)), priority first;
     sorting by (priority, i) yields a uniform random processing order that
-    interleaves consistently as n grows. Each trip is sample_trip's on its
-    substream, draw for draw, but the trips are sampled TRIP_CHUNK at a
-    time: each trip's first five draws (priority, origin cell, the origin's
-    two jitters, length) come from one call, the chunk's origins and
-    lengths are computed as arrays, and its first destination rings are cut
-    together. A trip whose first ring holds no population goes on alone,
-    through sample_destination, on the same substream.
+    interleaves consistently as n grows. Each trip draws, in this order, a
+    priority, a population-weighted origin (its cell and two jitters) and
+    a trip length, then a destination from sample_destinations; while
+    every ring at its length is empty it draws a fresh length and tries
+    again, up to MAX_TRIP_LENGTH_DRAWS lengths. Empty rings resample the
+    length, never the origin. The trips are sampled TRIP_CHUNK at a time:
+    each trip's first five draws come from one call, the chunk's origins
+    and lengths are computed as arrays, and its trips' rings are cut
+    together, as are those of its trips that draw fresh lengths.
     """
     trips = []
     for lo in range(start, n, TRIP_CHUNK):
@@ -212,15 +173,26 @@ def sample_trip_batch(
         rngs = [_trip_rng(seed, replicate, i) for i in ids]
         u = np.array([rng.random(5) for rng in rngs])
         origins = sample_origins(grid, u[:, 1], u[:, 2], u[:, 3])
-        lengths = dist.quantile(u[:, 4]).tolist()
-        dests = sample_first_rings(grid, origins, lengths, rngs)
-        for i, rng, priority, origin, trip_km, dest in zip(
-            ids, rngs, u[:, 0].tolist(), origins, lengths, dests
-        ):
-            if dest is None:
-                trips.append(_trip_to_a_ring(grid, dist, rng, i, priority, origin, trip_km))
-            else:
-                trips.append(TripRequest(ev_id=i, origin=origin, destination=dest, priority=priority))
+        dests = sample_destinations(grid, origins, dist.quantile(u[:, 4]).tolist(), rngs)
+        for _ in range(1, MAX_TRIP_LENGTH_DRAWS):
+            todo = [j for j, dest in enumerate(dests) if dest is None]
+            if not todo:
+                break
+            lengths = [dist.sample(rngs[j]) for j in todo]
+            redrawn = sample_destinations(
+                grid, [origins[j] for j in todo], lengths, [rngs[j] for j in todo]
+            )
+            for j, dest in zip(todo, redrawn):
+                dests[j] = dest
+        if None in dests:
+            raise DataError(
+                f"no destination found for origin near {origins[dests.index(None)]}"
+                f" after {MAX_TRIP_LENGTH_DRAWS} trip lengths"
+            )
+        trips += [
+            TripRequest(ev_id=i, origin=origin, destination=dest, priority=priority)
+            for i, priority, origin, dest in zip(ids, u[:, 0].tolist(), origins, dests)
+        ]
     trips.sort(key=_processing_order)
     return trips
 

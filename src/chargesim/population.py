@@ -43,10 +43,6 @@ TILE_KM = 10.0
 _TILE_MARGIN_KM = 1e-3
 
 
-class RingEmpty(LookupError):
-    """No populated cell at the requested distance; resample the trip length."""
-
-
 @dataclass(eq=False)
 class PopulationGrid:
     """The cells as three arrays, one entry per cell: the centre's latitude
@@ -101,12 +97,6 @@ class PopulationGrid:
             lat_c, lon_c = lat_c[idx], lon_c[idx]
         lat = math.radians(p.lat_deg)
         return _haversine_km(lat, math.cos(lat), math.radians(p.lon_deg), lat_c, lon_c)
-
-    def ring_candidates(self, p: GeoPoint, trip_km: float, half_width_km: float) -> np.ndarray:
-        """Indices, ascending, of the cells whose centres lie within
-        half_width_km + _TILE_MARGIN_KM of the ring at trip_km from p: the
-        one-origin case of rings_candidates."""
-        return self.rings_candidates([p], [trip_km], half_width_km)[0]
 
     def rings_candidates(
         self, points: list[GeoPoint], trip_km: list[float], half_width_km: float
@@ -347,29 +337,19 @@ def _cell_point(grid: PopulationGrid, idx: int, u_east: float, u_north: float) -
     # its argument handling
     center = GeoPoint(float(grid.lat_deg[idx]), float(grid.lon_deg[idx]))
     lo, hi = -CELL_KM / 2.0, CELL_KM / 2.0
-    return offset_km(center, lo + (hi - lo) * u_east, lo + (hi - lo) * u_north)
-
-
-def _jitter_within_cell(grid: PopulationGrid, idx: int, rng: np.random.Generator) -> GeoPoint:
-    return _cell_point(grid, idx, rng.random(), rng.random())
-
-
-def sample_origin_cell(grid: PopulationGrid, rng: np.random.Generator) -> int:
-    """Population-weighted cell index."""
-    u = rng.random() * grid.total_population
-    return int(np.searchsorted(grid._cum, u, side="right"))
-
-
-def sample_origin(grid: PopulationGrid, rng: np.random.Generator) -> GeoPoint:
-    idx = sample_origin_cell(grid, rng)
-    return _jitter_within_cell(grid, idx, rng)
+    try:
+        return offset_km(center, lo + (hi - lo) * u_east, lo + (hi - lo) * u_north)
+    except ValueError as exc:
+        # a cell at or next to a pole has no east offset, or its square
+        # passes the pole
+        raise DataError(f"cannot place a point in population cell {idx} at {center}: {exc}") from exc
 
 
 def sample_origins(
     grid: PopulationGrid, u_cell: np.ndarray, u_east: np.ndarray, u_north: np.ndarray
 ) -> list[GeoPoint]:
-    """sample_origin for many trips at once, from each trip's three draws:
-    the same cells and points."""
+    """Population-weighted origins, one per trip, from each trip's three
+    draws: the cell, then the point's east and north offsets in it."""
     cells = np.searchsorted(grid._cum, u_cell * grid.total_population, side="right")
     return [
         _cell_point(grid, c, e, n)
@@ -386,57 +366,55 @@ def _pick_in_ring(
     rng: np.random.Generator,
 ) -> GeoPoint | None:
     """A population-weighted point in a cell of the ring of half_width_km
-    at trip_km from origin, whose cells cand holds in index order; None,
-    with no draw taken, when the ring holds no population."""
+    at trip_km from origin, whose cells cand holds in index order: one draw
+    for the cell, two for the point in it. None, with no draw taken, when
+    the ring holds no population."""
     d = grid.distances_from(origin, cand)
     ring = cand[np.abs(d - trip_km) <= half_width_km]
     weights = grid.population[ring]
     total = weights.sum()
     if total <= 0:
         return None
-    u = rng.random() * total
-    pick = int(np.searchsorted(np.cumsum(weights), u, side="right"))
-    return _jitter_within_cell(grid, int(ring[pick]), rng)
+    cum = np.cumsum(weights)
+    pick = int(np.searchsorted(cum, rng.random() * total, side="right"))
+    if pick == len(ring):
+        # the pairwise sum may round above the running sum's end, and a
+        # draw past that end belongs to the last populated cell
+        pick = int(np.flatnonzero(weights)[-1])
+    return _cell_point(grid, int(ring[pick]), rng.random(), rng.random())
 
 
-def sample_destination(
-    grid: PopulationGrid, origin: GeoPoint, trip_km: float, rng: np.random.Generator
-) -> GeoPoint:
-    """Population-weighted destination at roughly the trip distance.
-
-    Candidate cells have centres within a half-width of the trip distance;
-    the half-width widens on a fixed schedule so rejection stays rare on
-    realistic grids. If even the widest ring is empty, raises RingEmpty and
-    the caller draws a fresh trip length.
-
-    Each ring's candidates are cut by chord length from the grid's tiles
-    (PopulationGrid.ring_candidates): the ring's cells, and any within
-    _TILE_MARGIN_KM of its edges. The haversine of distances_from then
-    picks the ring from them exactly. The candidates stay in index order,
-    so the weights, their cumulative sum and the pick are the floats a scan
-    of every cell would give, and so are the draws.
-    """
-    if trip_km < 0:
-        raise DataError(f"negative trip length: {trip_km}")
-    for w in RING_HALF_WIDTHS:
-        dest = _pick_in_ring(grid, origin, trip_km, w, grid.ring_candidates(origin, trip_km, w), rng)
-        if dest is not None:
-            return dest
-    raise RingEmpty(f"no populated cell within {RING_HALF_WIDTHS[-1]} km of ring at {trip_km:.1f} km")
-
-
-def sample_first_rings(
+def sample_destinations(
     grid: PopulationGrid,
     origins: list[GeoPoint],
     trip_km: list[float],
     rngs: list[np.random.Generator],
 ) -> list[GeoPoint | None]:
-    """For each trip, sample_destination's draw from its first ring, the
-    narrowest, or None where that ring holds no population and no draw was
-    taken. The trips' candidates are cut together."""
-    w = RING_HALF_WIDTHS[0]
-    cands = grid.rings_candidates(origins, trip_km, w)
-    return [
-        _pick_in_ring(grid, origin, km, w, cand, rng)
-        for origin, km, cand, rng in zip(origins, trip_km, cands, rngs)
-    ]
+    """For each trip, a population-weighted destination at roughly trip_km
+    from its origin, drawn from its own generator; None where every ring
+    is empty, with no draw taken, and the caller draws a fresh length.
+
+    Candidate cells have centres within a half-width of the trip distance;
+    the half-width widens on a fixed schedule (RING_HALF_WIDTHS) so that
+    an empty ring stays rare on realistic grids. At each half-width the
+    rings of every trip still without a destination are cut together by
+    chord length from the grid's tiles (PopulationGrid.rings_candidates):
+    each ring's cells, and any within _TILE_MARGIN_KM of its edges. The
+    haversine of distances_from then picks each ring from them exactly.
+    The candidates stay in index order, so the weights, their cumulative
+    sum and the pick are the floats a scan of every cell would give, and
+    so are the draws.
+    """
+    for km in trip_km:
+        if km < 0:
+            raise DataError(f"negative trip length: {km}")
+    dests: list[GeoPoint | None] = [None] * len(origins)
+    todo = range(len(origins))
+    for w in RING_HALF_WIDTHS:
+        if not todo:
+            break
+        cands = grid.rings_candidates([origins[j] for j in todo], [trip_km[j] for j in todo], w)
+        for j, cand in zip(todo, cands):
+            dests[j] = _pick_in_ring(grid, origins[j], trip_km[j], w, cand, rngs[j])
+        todo = [j for j in todo if dests[j] is None]
+    return dests

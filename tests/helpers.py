@@ -27,12 +27,7 @@ from chargesim.errors import DataError
 from chargesim.ev import EvParams, charge_duration_h, effective_charge_kw, soc_drop
 from chargesim.geo import GeoPoint, distance_km, offset_km
 from chargesim.network import ChargeNetwork, ChargePoint
-from chargesim.population import (
-    RING_HALF_WIDTHS,
-    PopulationGrid,
-    RingEmpty,
-    _jitter_within_cell,
-)
+from chargesim.population import RING_HALF_WIDTHS, PopulationGrid
 from chargesim.reservations import Booking, ReservationLedger
 from chargesim.router import (
     AWARE,
@@ -299,10 +294,11 @@ def corridor_fixture():
 
 def full_scan_sample_destination(
     grid: PopulationGrid, origin: GeoPoint, trip_km: float, rng: np.random.Generator
-) -> GeoPoint:
-    """sample_destination without the spatial index: the rings are cut from
-    the distances to all cells, so the weights, their cumulative sum and
-    the pick come from the full arrays in index order."""
+) -> GeoPoint | None:
+    """sample_destinations for one trip without the spatial index: the rings
+    are cut from the distances to all cells, so the weights, their
+    cumulative sum and the pick come from the full arrays in index order.
+    None, with no draw taken, when every ring is empty."""
     if trip_km < 0:
         raise DataError(f"negative trip length: {trip_km}")
     d = grid.distances_from(origin)
@@ -317,8 +313,29 @@ def full_scan_sample_destination(
         cum = np.cumsum(weights)
         u = rng.random() * total
         pick = int(np.searchsorted(cum, u, side="right"))
-        return _jitter_within_cell(grid, int(np.flatnonzero(mask)[pick]), rng)
-    raise RingEmpty(f"no populated cell within {RING_HALF_WIDTHS[-1]} km of ring at {trip_km:.1f} km")
+        return _jitter_in_cell(grid, int(np.flatnonzero(mask)[pick]), rng)
+    return None
+
+
+def _jitter_in_cell(grid: PopulationGrid, idx: int, rng: np.random.Generator) -> GeoPoint:
+    centre = GeoPoint(float(grid.lat_deg[idx]), float(grid.lon_deg[idx]))
+    return offset_km(centre, rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+
+
+def trip_by_trip(
+    grid: PopulationGrid, dist: TripLengthDistribution, rng: np.random.Generator, ev_id: int
+) -> TripRequest:
+    """One trip drawn alone from its substream in the plain order: a
+    priority, an origin cell by a search of the population's running sum,
+    its jitter, a length, then full_scan_sample_destination's draw, with a
+    fresh length while every ring is empty."""
+    priority = rng.random()
+    cell = np.searchsorted(np.cumsum(grid.population), rng.random() * grid.total_population, side="right")
+    origin = _jitter_in_cell(grid, int(cell), rng)
+    dest = None
+    while dest is None:
+        dest = full_scan_sample_destination(grid, origin, dist.sample(rng), rng)
+    return TripRequest(ev_id=ev_id, origin=origin, destination=dest, priority=priority)
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,28 @@ def test_undecodable_input_csv_exits_3(fixture_dir, tmp_path, key, text, capsys)
     assert err.startswith(f"data error: {bad}: not UTF-8 text") and err.count("\n") == 1
 
 
+def test_a_populated_cell_at_a_pole_exits_3(fixture_dir, tmp_path, capsys):
+    # the loader takes latitude 90, but no point can be jittered in that
+    # cell: the run stops with a data error naming the cell
+    pop = tmp_path / "pole.csv"
+    pop.write_text("lat,lon,population\n90,0,1\n")
+    net = tmp_path / "net.csv"
+    net.write_text("id,lat,lon,kind,power_kw\ncp1,89.9,0,DC,50\n")
+    rc = main(
+        [
+            "simulate",
+            "-c", str(fixture_dir / "scenario.cfg"),
+            "--out", str(tmp_path / "out"),
+            "--set", f"population_csv={pop}",
+            "--set", f"network_csv={net}",
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot place a point in population cell 0 at")
+    assert err.count("\n") == 1
+
+
 # the C locale with Python's UTF-8 mode off: an open() that names no
 # encoding writes ASCII there
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0"}

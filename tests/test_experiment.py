@@ -1,10 +1,11 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from chargesim import experiment
-from chargesim.errors import ConfigError
+from chargesim.errors import ConfigError, DataError
 from chargesim.experiment import (
     CapacityProbe,
     InfraCostModel,
@@ -25,7 +26,7 @@ from chargesim.population import RING_HALF_WIDTHS, PopulationGrid
 from chargesim.stats import Z_95, wilson_interval, wilson_upper
 from chargesim.triplength import default_trip_distribution
 
-from helpers import capacity_fixture, grid_of
+from helpers import capacity_fixture, grid_of, trip_by_trip
 
 ANCHOR = GeoPoint(0.0, 50.0)
 
@@ -101,55 +102,87 @@ def gappy_grid() -> PopulationGrid:
 
 
 def test_chunked_batches_match_trip_by_trip_sampling(monkeypatch):
-    # sample_trip_batch against sample_trip on each trip's own substream,
-    # for batch sizes around the chunk and a start inside a chunk; trips
-    # whose first ring is empty, or holds no population, go on alone, and
-    # some of those draw fresh lengths
+    # sample_trip_batch against the full-scan reference drawn trip by trip
+    # on each trip's own substream, for batch sizes around the chunk and a
+    # start inside a chunk. Some trips' first rings are empty or hold no
+    # population, and some trips find every ring empty and draw fresh
+    # lengths: exactly those go into a second sample_destinations call
     grid, dist = gappy_grid(), default_trip_distribution()
     chunk, start = experiment.TRIP_CHUNK, 5
-    opened, alone = [], []
-    real_rng, real_alone = experiment._trip_rng, experiment._trip_to_a_ring
+    opened, asked = [], []
+    real_rng, real_destinations = experiment._trip_rng, experiment.sample_destinations
 
     def counting_rng(*args):
         opened.append(args)
         return real_rng(*args)
 
-    def counting_alone(grid, dist, rng, ev_id, *args):
-        alone.append(ev_id)
-        return real_alone(grid, dist, rng, ev_id, *args)
+    def counting_destinations(grid, origins, *args):
+        asked.append(origins)
+        return real_destinations(grid, origins, *args)
 
     first_empty = first_unpopulated = redrawn = 0
     for m in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
         seed, n = 40 + m, start + m
         want = sorted(
-            (experiment.sample_trip(grid, dist, real_rng(seed, 1, i), i) for i in range(start, n)),
+            (trip_by_trip(grid, dist, real_rng(seed, 1, i), i) for i in range(start, n)),
             key=experiment._processing_order,
         )
         opened.clear()
-        alone.clear()
+        asked.clear()
         monkeypatch.setattr(experiment, "_trip_rng", counting_rng)
-        monkeypatch.setattr(experiment, "_trip_to_a_ring", counting_alone)
+        monkeypatch.setattr(experiment, "sample_destinations", counting_destinations)
         got = sample_trip_batch(grid, dist, seed, 1, n, start=start)
         monkeypatch.undo()
         assert got == want, m
         assert sorted(opened) == [(seed, 1, i) for i in range(start, n)], m
-        # which trips the chunk left to go on alone, from the full scan
-        expect_alone = []
+        # every trip is asked for a destination, and asked again exactly
+        # when its rings are all empty at its first length, by the full scan
+        expect_redrawn = []
         for trip in got:
             u = real_rng(seed, 1, trip.ev_id).random(5)
-            km = float(dist.quantile(u[4]))
-            off = np.abs(grid.distances_from(trip.origin) - km)
+            off = np.abs(grid.distances_from(trip.origin) - float(dist.quantile(u[4])))
             first = off <= RING_HALF_WIDTHS[0]
             if grid.population[first].sum() <= 0:
-                expect_alone.append(trip.ev_id)
                 first_empty += not first.any()
                 first_unpopulated += first.any()
-                redrawn += grid.population[off <= RING_HALF_WIDTHS[-1]].sum() <= 0
-        assert sorted(alone) == sorted(expect_alone), m
+                if grid.population[off <= RING_HALF_WIDTHS[-1]].sum() <= 0:
+                    expect_redrawn.append(trip.origin)
+        redrawn += len(expect_redrawn)
+        times = Counter(p for origins in asked for p in origins)
+        assert set(times) == {t.origin for t in got}, m
+        assert {p for p, k in times.items() if k > 1} == set(expect_redrawn), m
     # the draws above did reach the cases they were built for
     assert first_empty > 0 and first_unpopulated > 0 and redrawn > 0, (
         first_empty, first_unpopulated, redrawn
     )
+
+
+class FarLengths:
+    """Trip lengths far beyond a small grid, each drawn from the generator,
+    except the near-th sample() call, which gives 0 km."""
+
+    def __init__(self, near):
+        self.near, self.calls = near, 0
+
+    def quantile(self, u):
+        return np.full(len(u), 5000.0)
+
+    def sample(self, rng):
+        rng.random()
+        self.calls += 1
+        return 0.0 if self.calls == self.near else 5000.0
+
+
+def test_trip_lengths_are_redrawn_up_to_the_limit():
+    # a trip tries its first length and then MAX_TRIP_LENGTH_DRAWS - 1
+    # fresh ones: a near length among them is found, one after them is not
+    grid = grid_of([(ANCHOR, 1.0)])
+    limit = experiment.MAX_TRIP_LENGTH_DRAWS
+    dist = FarLengths(near=limit - 1)
+    (trip,) = sample_trip_batch(grid, dist, seed=1, replicate=0, n=1)
+    assert distance_km(trip.destination, ANCHOR) <= 1.0 and dist.calls == limit - 1
+    with pytest.raises(DataError, match=rf"no destination found .* after {limit} trip lengths"):
+        sample_trip_batch(grid, FarLengths(near=limit), seed=1, replicate=0, n=1)
 
 
 def test_trip_stream_matches_batches_in_probe_order(monkeypatch):

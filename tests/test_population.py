@@ -11,12 +11,11 @@ from chargesim.population import (
     RING_HALF_WIDTHS,
     _TILE_MARGIN_KM,
     PopulationGrid,
-    RingEmpty,
-    _jitter_within_cell,
+    _cell_point,
+    _pick_in_ring,
     load_population_csv,
-    sample_destination,
-    sample_origin,
-    sample_origin_cell,
+    sample_destinations,
+    sample_origins,
 )
 from chargesim.triplength import default_trip_distribution
 from helpers import full_scan_sample_destination, grid_of, meridian_grid
@@ -30,6 +29,26 @@ def small_grid():
 
 def _centre(grid, i):
     return GeoPoint(float(grid.lat_deg[i]), float(grid.lon_deg[i]))
+
+
+def _origins(grid, rng, n):
+    return sample_origins(grid, rng.random(n), rng.random(n), rng.random(n))
+
+
+def _nearest_cells(grid, points):
+    # by degrees, which on these equatorial grids, with cells 2 km or more
+    # apart, finds the cell a point was jittered in
+    lat = np.array([p.lat_deg for p in points])[:, None]
+    lon = np.array([p.lon_deg for p in points])[:, None]
+    return np.argmin((lat - grid.lat_deg) ** 2 + (lon - grid.lon_deg) ** 2, axis=1)
+
+
+def _destination(grid, origin, trip_km, rng):
+    return sample_destinations(grid, [origin], [trip_km], [rng])[0]
+
+
+def _ring_candidates(grid, origin, trip_km, w):
+    return grid.rings_candidates([origin], [trip_km], w)[0]
 
 
 def test_grid_validation():
@@ -69,7 +88,7 @@ def test_origin_weights_converge():
     g = small_grid()
     rng = np.random.default_rng(7)
     n = 100_000
-    picks = np.array([sample_origin_cell(g, rng) for _ in range(n)])
+    picks = _nearest_cells(g, _origins(g, rng, n))
     frac_heavy = np.mean(picks == 1)
     # binomial 3 sigma around 0.75
     sigma = math.sqrt(0.75 * 0.25 / n)
@@ -81,7 +100,7 @@ def test_origin_weights_chi_square():
     g = grid_of([(offset_km(ANCHOR, 2.0 * i, 0.0), float(i + 1)) for i in range(10)])
     rng = np.random.default_rng(11)
     n = 100_000
-    counts = np.bincount([sample_origin_cell(g, rng) for _ in range(n)], minlength=10)
+    counts = np.bincount(_nearest_cells(g, _origins(g, rng, n)), minlength=10)
     expected = g.population / g.total_population * n
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     # chi-square 0.99 quantile with 9 degrees of freedom
@@ -92,8 +111,7 @@ def test_origin_jitter_stays_in_cell():
     g = grid_of([(ANCHOR, 5.0)])
     rng = np.random.default_rng(3)
     half_diag = math.sqrt(0.5)
-    for _ in range(500):
-        p = sample_origin(g, rng)
+    for p in _origins(g, rng, 500):
         assert distance_km(p, ANCHOR) <= half_diag + 1e-6
 
 
@@ -107,7 +125,8 @@ def test_per_trip_draws_match_uniform_and_quantile():
     for k in range(20_000):
         idx = k % len(grid)
         east, north = ref.uniform(-0.5, 0.5), ref.uniform(-0.5, 0.5)
-        assert _jitter_within_cell(grid, idx, rng) == offset_km(_centre(grid, idx), east, north)
+        point = _cell_point(grid, idx, rng.random(), rng.random())
+        assert point == offset_km(_centre(grid, idx), east, north)
         y = dist.sample(rng)
         assert type(y) is float
         assert y == dist.quantile(ref.random())
@@ -123,7 +142,7 @@ def test_destination_picks_the_only_ring_cell():
     g = grid_of(cells)
     rng = np.random.default_rng(5)
     for _ in range(50):
-        dest = sample_destination(g, ANCHOR, 40.0, rng)
+        dest = _destination(g, ANCHOR, 40.0, rng)
         assert distance_km(dest, cells[1][0]) <= math.sqrt(0.5) + 1e-6
 
 
@@ -139,7 +158,7 @@ def test_destination_respects_ring_weights():
     n = 20_000
     hits_north = 0
     for _ in range(n):
-        dest = sample_destination(g, ANCHOR, 50.0, rng)
+        dest = _destination(g, ANCHOR, 50.0, rng)
         if distance_km(dest, cells[2][0]) < 2.0:
             hits_north += 1
     frac = hits_north / n
@@ -153,7 +172,7 @@ def test_destination_ring_widens_before_failing():
     cells = [(ANCHOR, 1.0), (offset_km(ANCHOR, 43.4, 0.0), 1.0)]
     g = grid_of(cells)
     rng = np.random.default_rng(23)
-    dest = sample_destination(g, ANCHOR, 40.0, rng)
+    dest = _destination(g, ANCHOR, 40.0, rng)
     assert distance_km(dest, cells[1][0]) <= math.sqrt(0.5) + 1e-6
     assert 3.4 > RING_HALF_WIDTHS[-2]
     assert 3.4 <= RING_HALF_WIDTHS[-1]
@@ -162,8 +181,8 @@ def test_destination_ring_widens_before_failing():
 def test_destination_ring_empty():
     g = grid_of([(ANCHOR, 1.0)])
     rng = np.random.default_rng(29)
-    with pytest.raises(RingEmpty):
-        sample_destination(g, ANCHOR, 500.0, rng)
+    assert sample_destinations(g, [ANCHOR], [500.0], [rng]) == [None]
+    assert rng.random() == np.random.default_rng(29).random()  # no draw taken
 
 
 def test_destination_jitter_bound():
@@ -176,8 +195,33 @@ def test_destination_jitter_bound():
     rng = np.random.default_rng(31)
     bound = RING_HALF_WIDTHS[0] + math.sqrt(0.5) + 1e-6
     for _ in range(200):
-        dest = sample_destination(g, ANCHOR, 30.0, rng)
+        dest = _destination(g, ANCHOR, 30.0, rng)
         assert abs(distance_km(ANCHOR, dest) - 30.0) <= bound
+
+
+class _Draws:
+    """A generator stand-in whose random() gives the listed floats in turn."""
+
+    def __init__(self, *u):
+        self.u = list(u)
+
+    def random(self):
+        return self.u.pop(0)
+
+
+def test_a_draw_past_the_running_sum_picks_the_last_populated_cell():
+    # the ring's weights sum pairwise to more than their running sum's end,
+    # so the highest draw lies past it; its cell is the last populated one,
+    # before the ring's unpopulated tail
+    weights = np.random.default_rng(0).exponential(size=400)
+    weights[-3:] = 0.0
+    top = np.nextafter(1.0, 0.0)
+    assert np.searchsorted(np.cumsum(weights), top * weights.sum(), side="right") == 400
+    grid = grid_of([(offset_km(ANCHOR, 0.01 * i, 0.0), w) for i, w in enumerate(weights)])
+    # the jitter's draws of one half put the point at the cell's centre
+    rng = _Draws(top, 0.5, 0.5)
+    dest = _pick_in_ring(grid, ANCHOR, 2.0, RING_HALF_WIDTHS[-1], np.arange(400), rng)
+    assert dest == _centre(grid, 396) and not rng.u
 
 
 def _random_grid(rng):
@@ -210,19 +254,27 @@ def _edge_trip(d, w, side):
     return t
 
 
-def _draw(sample, grid, origin, trip_km, seed):
-    rng = np.random.default_rng(seed)
-    try:
-        p = sample(grid, origin, trip_km, rng)
-    except RingEmpty:
-        return "empty", rng.random()
-    return (p.lat_deg.hex(), p.lon_deg.hex()), rng.random()
+def _draws(grid, origin, trips, seeds):
+    """Each trip's destination from origin, as bits or None, and the next
+    draw of its generator, which tells how many draws it took: first by
+    the full-scan oracle trip by trip, then by one sample_destinations
+    call for all the trips."""
+    want, rngs = [], [np.random.default_rng(seed) for seed in seeds]
+    for trip_km, seed in zip(trips, seeds):
+        rng = np.random.default_rng(seed)
+        want.append((_bits(full_scan_sample_destination(grid, origin, trip_km, rng)), rng.random()))
+    got = sample_destinations(grid, [origin] * len(trips), trips, rngs)
+    return want, [(_bits(p), rng.random()) for p, rng in zip(got, rngs)]
+
+
+def _bits(p):
+    return None if p is None else (p.lat_deg.hex(), p.lon_deg.hex())
 
 
 def test_destination_matches_full_scan_oracle():
     # the tile index's chord cut must give the full scan's draws bit for
-    # bit, and the same RingEmpty, for every kind of trip the sampler can
-    # be asked
+    # bit, and no destination where it finds none, for every kind of trip
+    # the sampler can be asked
     rng = np.random.default_rng(101)
     edge_cases = widened = empty = 0
     for case in range(400):
@@ -239,20 +291,17 @@ def test_destination_matches_full_scan_oracle():
             trips.append(_edge_trip(float(d[i]), w, 1))
             trips.append(_edge_trip(float(d[i]), w, -1))
             trips.append(float(d[i]) + rng.uniform(-5.0, 5.0))
-        for trip_km in trips:
-            if trip_km < 0:
-                continue
-            seed = int(rng.integers(2**32))
-            want = _draw(full_scan_sample_destination, grid, origin, trip_km, seed)
-            assert _draw(sample_destination, grid, origin, trip_km, seed) == want, (
-                case, trip_km
-            )
+        trips = [trip_km for trip_km in trips if trip_km >= 0]
+        seeds = [int(rng.integers(2**32)) for _ in trips]
+        want, got = _draws(grid, origin, trips, seeds)
+        for trip_km, w, g in zip(trips, want, got):
+            assert g == w, (case, trip_km)
             ring = np.abs(d - trip_km)
             edge_cases += bool(np.any(ring == RING_HALF_WIDTHS[-1]))
             widened += bool(np.any(ring <= RING_HALF_WIDTHS[-1])) and not np.any(
                 ring <= RING_HALF_WIDTHS[-2]
             )
-            empty += want[0] == "empty"
+            empty += w[0] is None
     # the draws above did reach the cases they were built for
     assert edge_cases > 100 and widened > 100 and empty > 100
 
@@ -266,12 +315,11 @@ def test_destination_matches_full_scan_across_the_antipode():
     cells += [(offset_km(anchor, *rng.uniform(-50.0, 50.0, 2)), 1.0) for _ in range(50)]
     grid = grid_of(cells)
     half = math.pi * EARTH_RADIUS_KM
-    for trip_km in np.linspace(half - 15.0, half + 5.0, 41):
-        seed = int(rng.integers(2**32))
-        want = _draw(full_scan_sample_destination, grid, anchor, trip_km, seed)
-        assert _draw(sample_destination, grid, anchor, trip_km, seed) == want
+    trips = np.linspace(half - 15.0, half + 5.0, 41).tolist()
+    want, got = _draws(grid, anchor, trips, [int(rng.integers(2**32)) for _ in trips])
+    assert got == want
     # the ring's candidates are the far cells, each once and in order
-    assert np.array_equal(grid.ring_candidates(anchor, half, 15.0), np.arange(50))
+    assert np.array_equal(_ring_candidates(grid, anchor, half, 15.0), np.arange(50))
 
 
 def test_ring_candidates_cover_the_ring():
@@ -299,7 +347,7 @@ def test_ring_candidates_cover_the_ring():
             trips += [_edge_trip(float(d[i]), w, 1), _edge_trip(float(d[i]), w, -1)]
         for trip_km in trips:
             for w in RING_HALF_WIDTHS:
-                cand = grid.ring_candidates(origin, trip_km, w)
+                cand = _ring_candidates(grid, origin, trip_km, w)
                 assert np.all(np.diff(cand) > 0), (case, trip_km, w)
                 ring = np.flatnonzero(np.abs(d - trip_km) <= w)
                 assert np.isin(ring, cand).all(), (case, trip_km, w)
@@ -336,7 +384,7 @@ def test_ring_candidates_are_the_ring_plus_the_slack():
             if trip_km < 0:
                 continue
             for w in RING_HALF_WIDTHS:
-                cand = grid.ring_candidates(origin, trip_km, w)
+                cand = _ring_candidates(grid, origin, trip_km, w)
                 off = np.abs(d[cand] - trip_km)
                 assert np.all(off <= w + 2.0 * _TILE_MARGIN_KM), (case, trip_km, w)
                 ring = np.flatnonzero(np.abs(d - trip_km) <= w)
@@ -374,7 +422,7 @@ def test_ring_candidates_margin_covers_antipodal_rounding():
             for w in RING_HALF_WIDTHS:
                 for side in (1, -1):
                     trip_km = _edge_trip(d, w, side)
-                    assert list(grid.ring_candidates(origin, trip_km, w)) == [0]
+                    assert list(_ring_candidates(grid, origin, trip_km, w)) == [0]
 
 
 def test_rings_cut_together_are_the_rings_cut_alone():
@@ -414,7 +462,7 @@ def test_rings_cut_together_are_the_rings_cut_alone():
             assert len(together) == len(origins)
             for origin, trip_km, cand in zip(origins, trips, together):
                 assert np.all(np.diff(cand) > 0), (case, trip_km, w)
-                alone = grid.ring_candidates(origin, trip_km, w)
+                alone = _ring_candidates(grid, origin, trip_km, w)
                 ring = np.flatnonzero(np.abs(grid.distances_from(origin) - trip_km) <= w)
                 for c in (cand, alone):
                     assert np.array_equal(
@@ -471,7 +519,7 @@ def test_grid_pickles_without_its_ring_index():
 def test_negative_trip_length_rejected():
     g = small_grid()
     with pytest.raises(DataError):
-        sample_destination(g, ANCHOR, -1.0, np.random.default_rng(0))
+        _destination(g, ANCHOR, -1.0, np.random.default_rng(0))
 
 
 def test_loader_round_trip(tmp_path):
