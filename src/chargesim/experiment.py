@@ -10,20 +10,20 @@ each trip carries a priority, the first draw of its own substream, and
 trips are processed by (priority, ev_id).
 
 Searches over fleet size (capacity_search, run_scenario_grid) sample each
-trip once per replicate: a TripStream per (seed, replicate) holds the
-trips drawn so far in that order and extends on demand, and the fleet of n
-is its trips below n, exactly sample_trip_batch's. Each search opens one
-runner for all its replicates: in this process with one worker, otherwise
-one process pool whose workers each receive the grid, network and trip
-length table once, through the pool's initializer, and keep their own
-streams; each task carries only (cfg, replicate).
+trip once per replicate: _Replicates keeps, per (seed, replicate), the
+trips drawn so far in that order and samples more on demand, and the fleet
+of n is its trips below n, exactly sample_trip_batch's. Each search opens
+one runner for all its replicates: in this process with one worker,
+otherwise one process pool whose workers each receive the grid, network
+and trip length table once, through the pool's initializer, and keep their
+own trips; each task carries only (cfg, replicate).
 """
 
 from __future__ import annotations
 
 import bisect
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -197,59 +197,53 @@ def sample_trip_batch(
     return trips
 
 
-class TripStream:
-    """The trips of one (seed, replicate), each sampled once and extended on
-    demand through sample_trip_batch."""
-
-    def __init__(
-        self, grid: PopulationGrid, dist: TripLengthDistribution, seed: int, replicate: int
-    ) -> None:
-        self.grid, self.dist, self.seed, self.replicate = grid, dist, seed, replicate
-        self._trips: list[TripRequest] = []  # every trip drawn, in processing order
-
-    def fleet(self, n: int) -> list[TripRequest]:
-        """sample_trip_batch(grid, dist, seed, replicate, n): trips 0 to n-1
-        in processing order."""
-        start = len(self._trips)
-        if n > start:
-            # two sorted runs, which the sort merges in linear time
-            self._trips += sample_trip_batch(
-                self.grid, self.dist, self.seed, self.replicate, n, start=start
-            )
-            self._trips.sort(key=_processing_order)
-        return [t for t in self._trips if t.ev_id < n]
-
-
 # one replicate's metrics, per-trip outcomes and ledger
 Replicate = tuple[ScenarioMetrics, list[RoutePlan | Unroutable], ReservationLedger]
 
 
-def _route_fleet(
-    cfg: ScenarioConfig, trips: list[TripRequest], net: ChargeNetwork
-) -> Replicate:
-    """Plan, commit and measure each trip in order on a fresh ledger."""
-    router_cfg = cfg.router
-    ledger = ReservationLedger()
-    m = ScenarioMetrics(n_ev=cfg.n_ev, thresholds=tuple(cfg.speed_thresholds_kph))
-    results: list[RoutePlan | Unroutable] = []
-    for req in trips:
-        r = plan_route(req, net, ledger, router_cfg)
-        if isinstance(r, RoutePlan):
-            r = commit_route(r, ledger, router_cfg)
-        results.append(r)
-        m.trips += 1
-        if r.needed_charge:
-            m.needed_charge += 1
-        if isinstance(r, Unroutable):
-            m.unroutable += 1
-            continue
-        m.completed += 1
-        v = average_trip_speed(r)
-        m.speed_sum_kph += v
-        for t in m.thresholds:
-            if v < t:
-                m.below[t] += 1
-    return m, results, ledger
+class _Replicates:
+    """Replicates on one set of inputs. Each (seed, replicate) keeps every
+    trip drawn so far, in processing order, and samples more on demand, so
+    that each trip is sampled once however many fleets are run."""
+
+    def __init__(
+        self, grid: PopulationGrid, net: ChargeNetwork, dist: TripLengthDistribution
+    ) -> None:
+        self.grid, self.net, self.dist = grid, net, dist
+        self.trips: dict[tuple[int, int], list[TripRequest]] = {}
+
+    def run(self, cfg: ScenarioConfig, replicate: int) -> Replicate:
+        """Plan, commit and measure trips 0 to n_ev-1 in processing order on
+        a fresh ledger: sample_trip_batch's fleet, drawn only where needed."""
+        trips = self.trips.setdefault((cfg.seed, replicate), [])
+        if cfg.n_ev > len(trips):
+            # two sorted runs, which the sort merges in linear time
+            trips += sample_trip_batch(
+                self.grid, self.dist, cfg.seed, replicate, cfg.n_ev, start=len(trips)
+            )
+            trips.sort(key=_processing_order)
+        router_cfg = cfg.router
+        ledger = ReservationLedger()
+        m = ScenarioMetrics(n_ev=cfg.n_ev, thresholds=tuple(cfg.speed_thresholds_kph))
+        results: list[RoutePlan | Unroutable] = []
+        for req in [t for t in trips if t.ev_id < cfg.n_ev]:
+            r = plan_route(req, self.net, ledger, router_cfg)
+            if isinstance(r, RoutePlan):
+                r = commit_route(r, ledger, router_cfg)
+            results.append(r)
+            m.trips += 1
+            if r.needed_charge:
+                m.needed_charge += 1
+            if isinstance(r, Unroutable):
+                m.unroutable += 1
+                continue
+            m.completed += 1
+            v = average_trip_speed(r)
+            m.speed_sum_kph += v
+            for t in m.thresholds:
+                if v < t:
+                    m.below[t] += 1
+        return m, results, ledger
 
 
 def run_replicate(
@@ -262,28 +256,10 @@ def run_replicate(
     """One replicate: sample, then plan, commit and measure each trip in
     processing order. Returns the metrics, the per-trip outcomes in that
     order and the ledger of realized bookings."""
-    trips = sample_trip_batch(grid, dist, cfg.seed, replicate, cfg.n_ev)
-    return _route_fleet(cfg, trips, net)
+    return _Replicates(grid, net, dist).run(cfg, replicate)
 
 
-class _Replicates:
-    """Replicates on one set of inputs, each drawing its trips from the
-    stream of its (seed, replicate)."""
-
-    def __init__(
-        self, grid: PopulationGrid, net: ChargeNetwork, dist: TripLengthDistribution
-    ) -> None:
-        self.grid, self.net, self.dist = grid, net, dist
-        self.streams: dict[tuple[int, int], TripStream] = {}
-
-    def run(self, cfg: ScenarioConfig, replicate: int) -> Replicate:
-        key = (cfg.seed, replicate)
-        if key not in self.streams:
-            self.streams[key] = TripStream(self.grid, self.dist, *key)
-        return _route_fleet(cfg, self.streams[key].fleet(cfg.n_ev), self.net)
-
-
-# a pool worker's inputs and trip streams, set once by its initializer
+# a pool worker's inputs and trips, set once by its initializer
 _worker: _Replicates | None = None
 
 
@@ -298,43 +274,34 @@ def _run_in_worker(cfg: ScenarioConfig, replicate: int) -> Replicate:
     return _worker.run(cfg, replicate)
 
 
-class _Runner:
-    """Runs replicates on one set of inputs: in this process with one
-    worker, otherwise in a pool whose workers each receive the inputs once,
-    through the initializer. The pool shuts down on exit."""
+# runs a config's replicates, returning their results in replicate order
+Runner = Callable[[ScenarioConfig], Iterator[Replicate]]
 
-    def __init__(
-        self,
-        cfg: ScenarioConfig,
-        grid: PopulationGrid,
-        net: ChargeNetwork,
-        dist: TripLengthDistribution,
-    ) -> None:
-        threads = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
-        workers = min(threads, cfg.replicates)
-        self.local = self.pool = None
-        if workers == 1:
-            self.local = _Replicates(grid, net, dist)
-        else:
-            self.pool = ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(grid, net, dist)
-            )
 
-    def __enter__(self) -> "_Runner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.pool is not None:
-            self.pool.shutdown()
-
-    def replicates(self, cfg: ScenarioConfig) -> Iterator[Replicate]:
-        if self.local is not None:
-            return (self.local.run(cfg, r) for r in range(cfg.replicates))
-        return self.pool.map(_run_in_worker, repeat(cfg), range(cfg.replicates))
+@contextmanager
+def _runner(
+    cfg: ScenarioConfig,
+    grid: PopulationGrid,
+    net: ChargeNetwork,
+    dist: TripLengthDistribution,
+) -> Iterator[Runner]:
+    """A runner on one set of inputs: in this process with one worker,
+    otherwise in a pool whose workers each receive the inputs once, through
+    the initializer. The pool shuts down on exit."""
+    threads = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
+    workers = min(threads, cfg.replicates)
+    if workers == 1:
+        local = _Replicates(grid, net, dist)
+        yield lambda c: (local.run(c, r) for r in range(c.replicates))
+        return
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(grid, net, dist)
+    ) as pool:
+        yield lambda c: pool.map(_run_in_worker, repeat(c), range(c.replicates))
 
 
 # the runner shared by the run_replicates calls of one search or fleet grid
-_shared: ContextVar[_Runner | None] = ContextVar("shared_runner", default=None)
+_shared: ContextVar[Runner | None] = ContextVar("shared_runner", default=None)
 
 
 @contextmanager
@@ -344,12 +311,12 @@ def _sharing_runner(
     net: ChargeNetwork,
     dist: TripLengthDistribution,
 ) -> Iterator[None]:
-    """One runner, with its pool and trip streams, for every run_replicates
-    call inside. Each call must pass the same grid, network and table, and a
-    config that differs from cfg in n_ev alone, so that the inputs and the
-    worker count the runner was opened with hold for it."""
-    with _Runner(cfg, grid, net, dist) as runner:
-        token = _shared.set(runner)
+    """One runner, with its pool and its sampled trips, for every
+    run_replicates call inside. Each call must pass the same grid, network
+    and table, and a config that differs from cfg in n_ev alone, so that the
+    inputs and the worker count the runner was opened with hold for it."""
+    with _runner(cfg, grid, net, dist) as run:
+        token = _shared.set(run)
         try:
             yield
         finally:
@@ -365,14 +332,14 @@ def run_replicates(
     """run_replicate's result for every replicate, yielded in replicate
     order. With more than one worker and replicate they run in a process
     pool; the outputs are the same either way, since replicates share no
-    state and every trip stream yields sample_trip_batch's trips. Inside
+    state and every fleet holds sample_trip_batch's trips. Inside
     _sharing_runner they run on its runner, otherwise on one opened here."""
     shared = _shared.get()
     if shared is not None:
-        yield from shared.replicates(cfg)
+        yield from shared(cfg)
         return
-    with _Runner(cfg, grid, net, dist) as runner:
-        yield from runner.replicates(cfg)
+    with _runner(cfg, grid, net, dist) as run:
+        yield from run(cfg)
 
 
 def load_scenario_inputs(

@@ -44,10 +44,9 @@ def csv_body(path, what: str, header: tuple[str, ...]):
         yield fh, reader.line_num + 1
 
 
-def is_blank(record: str | list[str]) -> bool:
-    """Whether a CSV record holds no row: csv reads it as no field or one
-    blank field. record is a line, or the fields csv read from one."""
-    fields = next(csv.reader([record]), []) if isinstance(record, str) else record
+def is_blank(fields: list[str]) -> bool:
+    """Whether a CSV record holds no row: csv read it as no field or one
+    blank field."""
     return len(fields) < 2 and not "".join(fields).strip()
 
 

@@ -14,7 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NoReturn
 
 import numpy as np
 
@@ -214,26 +213,26 @@ def _haversine_km(lat, cos_lat, lon, lat_c, lon_c) -> np.ndarray:
 
 def load_population_csv(path) -> PopulationGrid:
     """Read a ``lat,lon,population`` CSV into a grid: UTF-8 text, that
-    header, then one cell a line. Blank lines are skipped, fields may be
-    quoted and lines may end in CRLF. The body is parsed by one np.loadtxt
-    call and checked as arrays; longitudes are wrapped as in GeoPoint.
+    header, then one cell a line. Blank records are skipped, fields may be
+    quoted and lines may end in CRLF. The body, lines of spaces dropped, is
+    parsed by one np.loadtxt call and checked as arrays; longitudes are
+    wrapped as in GeoPoint. A body that fails, for example one with a line
+    of only a quoted blank field, is split into records by
+    _records_to_cells and parsed again.
 
     Raises DataError with the offending line number on malformed rows.
     """
     with csv_body(path, "population grid", POPULATION_HEADER) as (fh, _):
-        # a line with a comma always holds a row or part of one, and so
-        # does a line with an odd number of quotes: it opens or closes a
-        # quoted field that runs over a line end, even when csv reads it
-        # alone as blank (a line holding only the closing quote)
-        lines = (
-            line for line in fh if "," in line or line.count('"') % 2 or not is_blank(line)
-        )
+        # only a line of spaces is dropped: any other line may hold a row or
+        # part of one, a quoted field that runs over a line end, even when
+        # csv reads it alone as blank (a line of a closing or escaped quote)
+        lines = (line for line in fh if "," in line or line.strip())
         head = next(lines, None)
         # an empty body is left to PopulationGrid's "no cells" error;
         # loadtxt would warn on it
         cells = np.empty((0, 3)) if head is None else _parse(itertools.chain((head,), lines))
     if cells is None or _bad_cells(cells).any():
-        _raise_first_bad_row(path, cells)
+        cells = _records_to_cells(path)
     lat, lon, pop = cells.T.copy()
     out = (lon < -180.0) | (lon >= 180.0)
     lon[out] = wrap_lon(lon[out])
@@ -263,42 +262,39 @@ def _bad_cells(cells: np.ndarray) -> np.ndarray:
     return ~np.isfinite(pop) | (pop < 0) | ~((lat >= -90.0) & (lat <= 90.0)) | ~np.isfinite(lon)
 
 
-def _raise_first_bad_row(path, cells: np.ndarray | None) -> NoReturn:
-    """Raise DataError naming the line of the first record of path that is
-    not a cell. A strict csv.reader splits the lines the fast path parses
-    into records, where np.loadtxt splits them: a quoted field may span
-    lines. A record that csv.reader rejects, which np.loadtxt may still
-    read, is the fault named, unless a record before it is bad. cells is
-    the body as _parse gave it, or None when it rejected a row: that row is
-    then found by bisection over the records with the same parser, unless a
-    row before it parses to no cell. Only this path numbers the lines."""
+def _records_to_cells(path) -> np.ndarray:
+    """The cells of path, its body split into records by a strict
+    csv.reader, records that csv reads as blank skipped; a quoted field may
+    span lines. Raises DataError naming the line of the first record that
+    is not a cell. A record that csv.reader rejects, which np.loadtxt may
+    still read, is the fault named, unless a record before it is bad. A
+    record that does not parse is found by bisection over the records with
+    the fast path's parser. Only this path numbers the lines."""
     with csv_body(path, "population grid", POPULATION_HEADER) as (fh, first):
         body = list(fh)
-    # lines[j] is body[at[j]], on line first + at[j]
-    at = [
-        i for i, line in enumerate(body)
-        if "," in line or line.count('"') % 2 or not is_blank(line)
-    ]
-    lines = [body[i] for i in at]
     records, starts = [], []  # each record's text, and the line it starts on
-    reader = csv.reader(lines, strict=True)
+    reader = csv.reader(body, strict=True)
     read = 0  # lines taken into records
     broken = None
     try:
-        for _ in reader:
-            records.append("".join(lines[read : reader.line_num]))
-            starts.append(first + at[read])
+        for row in reader:
+            if not is_blank(row):
+                records.append("".join(body[read : reader.line_num]))
+                starts.append(first + read)
             read = reader.line_num
     except csv.Error as exc:
-        broken = DataError(f"{path}: line {first + at[read]}: {exc}")
+        broken = DataError(f"{path}: line {first + read}: {exc}")
     n_split = len(records)
     if broken is not None:
         # the rejected record and all after it, as one unit
-        records.append("".join(lines[read:]))
-    # records[:lo] parse, as the arrays in good; when cells is None,
+        records.append("".join(body[read:]))
+    # records[:lo] parse, as the arrays in good; when lo < hi,
     # records[lo:hi] hold a row that does not
-    lo, hi = (0, len(records)) if cells is None else (len(records), len(records))
-    good = [np.empty((0, 3)) if cells is None else cells]
+    lo, hi = 0, len(records)
+    good = [np.empty((0, 3))]
+    whole = _parse(records) if records else good[0]
+    if whole is not None:
+        lo, good = hi, [whole]
     while hi - lo > 1:
         mid = (lo + hi) // 2
         part = _parse(records[lo:mid])
@@ -328,7 +324,9 @@ def _raise_first_bad_row(path, cells: np.ndarray | None) -> NoReturn:
         except ValueError as exc:
             raise DataError(f"{where}: {str(exc).replace(' at row 0, column ', ' in column ')}") from exc
         raise DataError(f"{where}: cannot parse the row")
-    raise broken
+    if broken is not None:
+        raise broken
+    return cells
 
 
 def _cell_point(grid: PopulationGrid, idx: int, u_east: float, u_north: float) -> GeoPoint:

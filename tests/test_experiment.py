@@ -11,7 +11,6 @@ from chargesim.experiment import (
     InfraCostModel,
     ScenarioConfig,
     ScenarioMetrics,
-    TripStream,
     capacity_search,
     cost_per_user_eur,
     load_scenario_inputs,
@@ -185,7 +184,7 @@ def test_trip_lengths_are_redrawn_up_to_the_limit():
         sample_trip_batch(grid, FarLengths(near=limit), seed=1, replicate=0, n=1)
 
 
-def test_trip_stream_matches_batches_in_probe_order(monkeypatch):
+def test_replicates_route_batches_in_probe_order(monkeypatch):
     # bisection probe order: doubling to 32, then down and up to 21
     grid = line_grid()
     dist = default_trip_distribution()
@@ -205,11 +204,22 @@ def test_trip_stream_matches_batches_in_probe_order(monkeypatch):
         substreams.append(args)
         return real_rng(*args)
 
+    planned = []
+    real_plan = experiment.plan_route
+
+    def recording_plan(req, *args, **kwargs):
+        planned.append(req)
+        return real_plan(req, *args, **kwargs)
+
     monkeypatch.setattr(experiment, "sample_trip_batch", counting)
     monkeypatch.setattr(experiment, "_trip_rng", counting_rng)
-    stream = TripStream(grid, dist, seed=9, replicate=2)
+    monkeypatch.setattr(experiment, "plan_route", recording_plan)
+    replicates = experiment._Replicates(grid, line_net(), dist)
     for n, batch in expected.items():
-        assert stream.fleet(n) == batch, n
+        planned.clear()
+        _, results, _ = replicates.run(ScenarioConfig(n_ev=n, seed=9), replicate=2)
+        assert planned == batch, n
+        assert [r.ev_id for r in results] == [t.ev_id for t in batch], n
     assert sorted(sampled) == list(range(32))  # each trip index sampled exactly once
     assert len(substreams) == 32  # and its substream opened once, priorities not re-drawn
 

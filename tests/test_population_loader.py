@@ -230,6 +230,15 @@ def test_an_open_quote_names_the_line_it_opens_on(tmp_path):
     assert _error(load_population_csv, path) == f"{path}: line 2: unexpected end of data"
 
 
+def test_an_escaped_quote_on_a_line_of_its_own_stays_in_its_field(tmp_path):
+    # csv reads the line "" alone as blank, but here it is an escaped quote
+    # inside the population field that opens on line 2, which so holds no
+    # number: the loader names line 2, as the loop does
+    path = _write(tmp_path, 'lat,lon,population\n0,12,"50\n""\n"\n1,13,2\n')
+    _assert_same_error(path, {"number"})
+    assert _line(_error(load_population_csv, path)) == 2
+
+
 def _spanning_text(rows: list[list[str]], blanks: list[list[str]]) -> tuple[str, list[int]]:
     """The rows under a header, blanks[r] before row r, LF line ends; and
     the line each row starts on."""
