@@ -9,7 +9,7 @@ seed, and tool version, written atomically after the outputs, so a run can
 be reproduced bit-for-bit from its manifest.
 
 Exit codes: 0 success, 2 bad configuration, 3 bad input data, 4 failed
-self-check.
+self-check, 141 standard output closed early (a shell's status for SIGPIPE).
 """
 
 from __future__ import annotations
@@ -558,13 +558,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        rc = ns.func(ns)
+        sys.stdout.flush()
+        return rc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # stdout was closed early, as by `| head`: what is still buffered
+        # goes to devnull, so that the interpreter's flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

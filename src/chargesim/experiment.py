@@ -13,23 +13,23 @@ Searches over fleet size (capacity_search, run_scenario_grid) sample each
 trip once per replicate: _Replicates keeps, per (seed, replicate), the
 trips drawn so far in that order and samples more on demand, and the fleet
 of n is its trips below n, exactly sample_trip_batch's. Each search opens
-one runner for all its replicates: in this process with one worker,
-otherwise one process pool whose workers each receive the grid, network
-and trip length table once, through the pool's initializer, and keep their
-own trips; each task carries only (cfg, replicate).
+one runner for all its replicates: with k processes, this one and k - 1
+workers that each receive the grid, network and trip length table once,
+when they start, replicate r always runs in process r mod k, which keeps
+its trips. A call sends each worker only (cfg, full), and a worker returns
+plans and ledgers only when full is set: run_scenario asks for metrics.
 """
 
 from __future__ import annotations
 
 import bisect
+import multiprocessing
 import os
-from collections.abc import Callable, Iterator
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -259,23 +259,24 @@ def run_replicate(
     return _Replicates(grid, net, dist).run(cfg, replicate)
 
 
-# a pool worker's inputs and trips, set once by its initializer
-_worker: _Replicates | None = None
-
-
-def _init_worker(
-    grid: PopulationGrid, net: ChargeNetwork, dist: TripLengthDistribution
+def _serve(
+    conn, k: int, i: int, grid: PopulationGrid, net: ChargeNetwork, dist: TripLengthDistribution
 ) -> None:
-    global _worker
-    _worker = _Replicates(grid, net, dist)
-
-
-def _run_in_worker(cfg: ScenarioConfig, replicate: int) -> Replicate:
-    return _worker.run(cfg, replicate)
+    """A worker process: for each (cfg, full) the parent sends, runs
+    replicates i, i + k, ... and sends back their results, with plans and
+    ledgers only if full, or the exception that stopped them."""
+    share = _Replicates(grid, net, dist)
+    while True:
+        cfg, full = conn.recv()
+        try:
+            out = [share.run(cfg, r) for r in range(i, cfg.replicates, k)]
+            conn.send(out if full else [(m, None, None) for m, _, _ in out])
+        except Exception as exc:
+            conn.send(exc)
 
 
 # runs a config's replicates, returning their results in replicate order
-Runner = Callable[[ScenarioConfig], Iterator[Replicate]]
+Runner = Callable[[ScenarioConfig, bool], Iterable[Replicate]]
 
 
 @contextmanager
@@ -285,19 +286,52 @@ def _runner(
     net: ChargeNetwork,
     dist: TripLengthDistribution,
 ) -> Iterator[Runner]:
-    """A runner on one set of inputs: in this process with one worker,
-    otherwise in a pool whose workers each receive the inputs once, through
-    the initializer. The pool shuts down on exit."""
+    """A runner on one set of inputs over k = min(threads, replicates)
+    processes: this one, and k - 1 workers that receive the inputs once,
+    when they start. Replicate r always runs in process r mod k. A call
+    sends every worker its task, runs this process's share, then collects
+    the workers' shares and raises the first exception any share raised.
+    The workers are stopped and joined on exit, however it comes."""
     threads = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
     workers = min(threads, cfg.replicates)
     if workers == 1:
         local = _Replicates(grid, net, dist)
-        yield lambda c: (local.run(c, r) for r in range(c.replicates))
+        yield lambda c, full: (local.run(c, r) for r in range(c.replicates))
         return
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(grid, net, dist)
-    ) as pool:
-        yield lambda c: pool.map(_run_in_worker, repeat(c), range(c.replicates))
+    ctx = multiprocessing.get_context()
+    local = _Replicates(grid, net, dist)
+    conns, procs = [], []
+
+    def run(c: ScenarioConfig, full: bool) -> list[Replicate]:
+        try:
+            for conn in conns:
+                conn.send((c, full))
+        except BrokenPipeError as exc:  # not stdout's, which main reports as closed
+            raise RuntimeError("a worker process has exited") from exc
+        shares = [[local.run(c, r) for r in range(0, c.replicates, workers)]]
+        shares += [conn.recv() for conn in conns]
+        for share in shares:
+            if isinstance(share, Exception):
+                raise share
+        return [shares[r % workers][r // workers] for r in range(c.replicates)]
+
+    try:
+        for i in range(1, workers):
+            conn, theirs = ctx.Pipe()
+            conns.append(conn)
+            p = ctx.Process(target=_serve, args=(theirs, workers, i, grid, net, dist), daemon=True)
+            p.start()
+            procs.append(p)
+            # only the worker holds its end, so recv sees EOF if it dies
+            theirs.close()
+        yield run
+    finally:
+        # a worker may be busy, or blocked sending a share never read
+        for p in procs:
+            p.terminate()
+            p.join()
+        for conn in conns:
+            conn.close()
 
 
 # the runner shared by the run_replicates calls of one search or fleet grid
@@ -311,7 +345,7 @@ def _sharing_runner(
     net: ChargeNetwork,
     dist: TripLengthDistribution,
 ) -> Iterator[None]:
-    """One runner, with its pool and its sampled trips, for every
+    """One runner, with its workers and its sampled trips, for every
     run_replicates call inside. Each call must pass the same grid, network
     and table, and a config that differs from cfg in n_ev alone, so that the
     inputs and the worker count the runner was opened with hold for it."""
@@ -328,18 +362,22 @@ def run_replicates(
     grid: PopulationGrid,
     net: ChargeNetwork,
     dist: TripLengthDistribution,
+    *,
+    full: bool = True,
 ) -> Iterator[Replicate]:
     """run_replicate's result for every replicate, yielded in replicate
-    order. With more than one worker and replicate they run in a process
-    pool; the outputs are the same either way, since replicates share no
-    state and every fleet holds sample_trip_batch's trips. Inside
-    _sharing_runner they run on its runner, otherwise on one opened here."""
+    order; with full unset, a worker's replicates as (metrics, None, None).
+    With more than one worker and replicate, this process runs one share of
+    them and worker processes the rest; the outputs are the same either way,
+    since replicates share no state and every fleet holds sample_trip_batch's
+    trips. Inside _sharing_runner they run on its runner, otherwise on one
+    opened here."""
     shared = _shared.get()
     if shared is not None:
-        yield from shared(cfg)
+        yield from shared(cfg, full)
         return
     with _runner(cfg, grid, net, dist) as run:
-        yield from run(cfg)
+        yield from run(cfg, full)
 
 
 def load_scenario_inputs(
@@ -364,7 +402,7 @@ def run_scenario(
     """All replicates of one scenario, merged. Deterministic for a given
     config: replicates use disjoint substreams and merge in order."""
     total = ScenarioMetrics(n_ev=cfg.n_ev, thresholds=tuple(cfg.speed_thresholds_kph))
-    for m, _, _ in run_replicates(cfg, grid, net, dist):
+    for m, _, _ in run_replicates(cfg, grid, net, dist, full=False):
         total.merge(m)
     assert total.completed + total.unroutable == total.trips
     return total

@@ -440,18 +440,23 @@ def capacity_fixture():
     return grid, net, dist
 
 
-def run_chargesim(args: list[str], cwd, env: dict | None = None) -> subprocess.CompletedProcess:
+def run_chargesim(
+    args: list[str], cwd, env: dict | None = None, stdout=subprocess.PIPE
+) -> subprocess.CompletedProcess:
     """Run ``python -m chargesim *args`` in a subprocess and capture its output.
 
     The module form, not a console script found on PATH: a script can belong
     to another install, and none exists in a checkout.
     """
-    return run_python(["-m", "chargesim", *args], cwd, env)
+    return run_python(["-m", "chargesim", *args], cwd, env, stdout)
 
 
-def run_python(args: list[str], cwd, env: dict | None = None) -> subprocess.CompletedProcess:
+def run_python(
+    args: list[str], cwd, env: dict | None = None, stdout=subprocess.PIPE
+) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a subprocess and capture its output, with
-    the variables in env set on top of this process's environment.
+    the variables in env set on top of this process's environment. Standard
+    output goes to stdout, a pipe that is captured unless given.
 
     The directory holding the imported package goes first on the child's
     PYTHONPATH as an absolute path, so the child runs the same code as the
@@ -466,5 +471,5 @@ def run_python(args: list[str], cwd, env: dict | None = None) -> subprocess.Comp
     env["PYTHONPATH"] = src + (os.pathsep + rest if rest else "")
     return subprocess.run(
         [sys.executable, *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=600,
+        cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=600,
     )

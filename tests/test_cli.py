@@ -1,6 +1,9 @@
 import csv
 import json
 import multiprocessing
+import os
+import types
+from collections import Counter
 
 import pytest
 
@@ -571,17 +574,25 @@ def test_pooled_replicates_match_serial(fixture_dir, tmp_path):
     assert int(sweep[-1][3]) > 0
 
 
-def counting_pools(monkeypatch, **forced):
-    """Patch experiment's pool with a subclass that counts the pools built,
-    passing any forced keyword arguments on to each."""
+def counting_workers(monkeypatch, method=None):
+    """Patch the multiprocessing context experiment's runner gets with one
+    of the given start method that counts, per runner, the worker processes
+    it starts."""
     built = []
+    real = multiprocessing.get_context(method)
 
-    class Counting(experiment.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs.get("max_workers"))
-            super().__init__(*args, **{**kwargs, **forced})
+    class Counting:
+        def __init__(self):
+            built.append(0)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", Counting)
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def Process(self, *args, **kwargs):
+            built[-1] += 1
+            return real.Process(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "multiprocessing", types.SimpleNamespace(get_context=Counting))
     return built
 
 
@@ -593,27 +604,95 @@ def counting_pools(monkeypatch, **forced):
     ["faults", "--n-ev", "10", "--masks", "1"],
 ], ids=["capacity", "simulate-grid", "simulate-dump", "faults"])
 def test_one_pool_per_command(fixture_dir, tmp_path, monkeypatch, args):
-    built = counting_pools(monkeypatch)
+    # two processes, this one and one worker, serve every probe or size
+    built = counting_workers(monkeypatch)
     assert main(
         [*args, "-c", str(fixture_dir / "scenario.cfg"), "--out", str(tmp_path / "out"),
          "--replicates", "2", "--threads", "2"]
     ) == 0
-    assert built == [2]
+    assert built == [1]
+    assert multiprocessing.active_children() == []
 
 
 def test_pool_workers_need_only_their_initializer(fixture_dir, tmp_path, monkeypatch):
     # spawned workers inherit no module state, so the same outputs show that
-    # each worker gets its inputs from the initializer alone
+    # each worker gets its inputs from its process arguments alone
     common = ["capacity", "-c", str(fixture_dir / "scenario.cfg"), "--n-ev", "12",
               "--replicates", "3", "--set", "max_range_km=20", "--threshold", "60",
               "--target", "0.7"]
     assert main([*common, "--out", str(tmp_path / "serial"), "--threads", "1"]) == 0
-    built = counting_pools(monkeypatch, mp_context=multiprocessing.get_context("spawn"))
+    built = counting_workers(monkeypatch, "spawn")
     assert main([*common, "--out", str(tmp_path / "spawned"), "--threads", "2"]) == 0
-    assert built == [2]
+    assert built == [1]
     for name in ("capacity.csv", "capacity.json"):
         spawned, serial = (tmp_path / d / name for d in ("spawned", "serial"))
         assert spawned.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["2", "3"])
+def test_a_pooled_search_samples_each_trip_once(fixture_dir, tmp_path, monkeypatch, threads):
+    # each process appends the (replicate, ev_id) pairs it samples to its
+    # own file, which forked workers inherit through the patched sampler
+    real = experiment.sample_trip_batch
+
+    def recording(grid, dist, seed, replicate, n, **kwargs):
+        trips = real(grid, dist, seed, replicate, n, **kwargs)
+        with open(tmp_path / f"sampled-{os.getpid()}.txt", "a") as fh:
+            fh.writelines(f"{replicate} {t.ev_id}\n" for t in trips)
+        return trips
+
+    monkeypatch.setattr(experiment, "sample_trip_batch", recording)
+    out = tmp_path / "out"
+    assert main(
+        ["capacity", "-c", str(fixture_dir / "scenario.cfg"), "--out", str(out),
+         "--n-ev", "12", "--replicates", "4", "--threads", threads,
+         "--set", "max_range_km=20", "--threshold", "60", "--target", "0.7"]
+    ) == 0
+    probes = json.loads((out / "capacity.json").read_text())["probes"]
+    largest = max(p["n_ev"] for p in probes)
+    sampled = Counter(
+        line for f in tmp_path.glob("sampled-*.txt") for line in f.read_text().splitlines()
+    )
+    assert len(list(tmp_path.glob("sampled-*.txt"))) == int(threads)
+    assert sampled == Counter(f"{r} {i}" for r in range(4) for i in range(largest))
+
+
+def test_a_populated_cell_at_a_pole_exits_3_with_workers(fixture_dir, tmp_path, capsys):
+    # both processes sample the pole cell; every worker is stopped and
+    # joined, and the run ends as the serial one does
+    pop = tmp_path / "pole.csv"
+    pop.write_text("lat,lon,population\n90,0,1\n")
+    net = tmp_path / "net.csv"
+    net.write_text("id,lat,lon,kind,power_kw\ncp1,89.9,0,DC,50\n")
+    errs = []
+    for threads in ("1", "2"):
+        assert main(
+            ["simulate", "-c", str(fixture_dir / "scenario.cfg"),
+             "--out", str(tmp_path / f"out{threads}"), "--set", f"population_csv={pop}",
+             "--set", f"network_csv={net}", "--threads", threads, "--replicates", "2"]
+        ) == 3
+        errs.append(capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("data error: cannot place a point in population cell 0 at")
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--n-ev", "10"],
+    ["capacity", "--n-ev", "12", "--target", "0.9", "--replicates", "2", "--threads", "2"],
+], ids=["simulate", "capacity"])
+def test_a_closed_stdout_exits_141_without_a_traceback(fixture_dir, tmp_path, command):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = run_chargesim(
+            [*command, "-c", str(fixture_dir / "scenario.cfg"), "--out", str(tmp_path / "out")],
+            tmp_path, stdout=write_end,
+        )
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stderr) == (141, "")
+    assert (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_faults_redundancy_flag(fixture_dir, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import multiprocessing
+import time
 from collections import Counter
 
 import numpy as np
@@ -15,6 +17,7 @@ from chargesim.experiment import (
     cost_per_user_eur,
     load_scenario_inputs,
     run_replicate,
+    run_replicates,
     run_scenario,
     run_scenario_grid,
     sample_trip_batch,
@@ -269,6 +272,40 @@ def test_parallel_replicates_match_serial():
         dataclasses.replace(cfg, threads=2), grid=grid, net=net, dist=dist
     )
     assert serial == parallel
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["this-process", "worker"])
+def test_a_failing_share_raises_and_stops_every_worker(monkeypatch, failing):
+    # replicate 0 runs in this process and replicate 1 in the worker
+    real = experiment._Replicates.run
+
+    def run(self, cfg, replicate):
+        if replicate == failing:
+            if replicate == 0:
+                # the worker's share of full plans, far more than a pipe
+                # holds, is then never read, and its send blocks
+                time.sleep(0.5)
+            raise DataError(f"replicate {replicate} failed")
+        return real(self, cfg, replicate)
+
+    monkeypatch.setattr(experiment._Replicates, "run", run)
+    cfg = ScenarioConfig(n_ev=3000, seed=3, replicates=2, threads=2)
+    with pytest.raises(DataError, match=f"^replicate {failing} failed$"):
+        list(run_replicates(cfg, line_grid(), line_net(), default_trip_distribution()))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_exited_is_an_error_of_its_own():
+    # a task sent to a worker that has died fails as a RuntimeError, not as
+    # the BrokenPipeError the command line takes for a closed stdout
+    cfg = ScenarioConfig(n_ev=5, seed=3, replicates=2, threads=2)
+    with experiment._runner(cfg, line_grid(), line_net(), default_trip_distribution()) as run:
+        (worker,) = multiprocessing.active_children()
+        worker.kill()
+        worker.join()
+        with pytest.raises(RuntimeError, match="worker process has exited"):
+            run(cfg, False)
+    assert multiprocessing.active_children() == []
 
 
 def test_run_replicate_exposes_ledger_and_outcomes():
