@@ -4,9 +4,11 @@ Subcommands: simulate (fleet sweep -> metrics CSV + summary JSON), faults
 (fault-injection sweep -> CSV), capacity (fleet-size search), validate
 (arithmetic and distribution self-checks), gen-fixtures (synthetic inputs).
 
-Every run directory gets a manifest.json recording the resolved options,
-seed, and tool version, written atomically after the outputs, so a run can
-be reproduced bit-for-bit from its manifest.
+A command makes its run directory at its first output, so a failed command
+leaves none. Every run directory gets a manifest.json recording the
+resolved options, seed, tool version and exactly the files written,
+written atomically after the outputs, so a run can be reproduced
+bit-for-bit from its manifest.
 
 Exit codes: 0 success, 2 bad configuration, 3 bad input data, 4 failed
 self-check, 141 standard output closed early (a shell's status for SIGPIPE).
@@ -26,11 +28,11 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    ISOLATED,
     SCHEMA,
     describe_schema,
     parse_config_file,
     parse_value,
+    redundancy_targets,
     resolve_options,
     scenario_from_options,
 )
@@ -38,6 +40,7 @@ from .errors import ConfigError, DataError
 from .ev import EvParams, charge_duration_h, effective_speed_kph, max_leg_km
 from .experiment import (
     InfraCostModel,
+    ScenarioConfig,
     ScenarioMetrics,
     capacity_search,
     cost_per_user_eur,
@@ -66,12 +69,6 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _out_dir(ns) -> str:
-    d = ns.out or "chargesim-out"
-    os.makedirs(d, exist_ok=True)
-    return d
-
-
 def _options_record(opts: dict) -> dict:
     """The options a run used, as JSON; unset keys are left out, so a config
     file written from the record reruns the same command."""
@@ -79,18 +76,41 @@ def _options_record(opts: dict) -> dict:
             for k, v in sorted(opts.items()) if v is not None}
 
 
-def _write_manifest(out_dir: str, ns, opts: dict, outputs: list[str], t0: float) -> None:
-    manifest = {
-        "tool": "chargesim",
-        "version": __version__,
-        "subcommand": ns.subcommand,
-        "config_file": os.path.abspath(ns.config) if getattr(ns, "config", None) else None,
-        "options": _options_record(opts),
-        "seed": opts.get("seed"),
-        "outputs": sorted(os.path.basename(p) for p in outputs),
-        "wall_clock_s": round(time.monotonic() - t0, 3),
-    }
-    write_text_atomic(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
+class _Run:
+    """One command's run directory, made at its first output, so that a
+    failed command leaves none. path(), csv() and json() name each output
+    and record it; finish() then writes manifest.json, listing them."""
+
+    def __init__(self, ns, opts: dict) -> None:
+        self.ns, self.opts = ns, opts
+        self.dir = ns.out or "chargesim-out"
+        self.outputs: list[str] = []
+        self.t0 = time.monotonic()
+
+    def path(self, name: str) -> str:
+        os.makedirs(self.dir, exist_ok=True)
+        self.outputs.append(name)
+        return os.path.join(self.dir, name)
+
+    def csv(self, name: str, header, rows) -> None:
+        write_csv(self.path(name), header, rows, line_end="\n")
+
+    def json(self, name: str, obj) -> None:
+        write_text_atomic(self.path(name), json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+    def finish(self) -> None:
+        manifest = {
+            "tool": "chargesim",
+            "version": __version__,
+            "subcommand": self.ns.subcommand,
+            "config_file": (os.path.abspath(self.ns.config)
+                            if getattr(self.ns, "config", None) else None),
+            "options": _options_record(self.opts),
+            "seed": self.opts.get("seed"),
+            "outputs": sorted(self.outputs),
+            "wall_clock_s": round(time.monotonic() - self.t0, 3),
+        }
+        write_text_atomic(self.path("manifest.json"), json.dumps(manifest, indent=2) + "\n")
 
 
 def _collect_overrides(ns) -> dict:
@@ -111,16 +131,18 @@ def _collect_overrides(ns) -> dict:
     return overrides
 
 
-def _resolve(ns) -> dict:
+def _scenario(ns) -> tuple[_Run, ScenarioConfig]:
+    """A scenario command's run and config, checked before any input is read."""
     file_values = parse_config_file(ns.config) if ns.config else {}
-    return resolve_options(file_values, _collect_overrides(ns))
+    opts = resolve_options(file_values, _collect_overrides(ns))
+    return _Run(ns, opts), scenario_from_options(opts)
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
 
-def _write_metrics_csv(path: str, metrics: list[ScenarioMetrics], thresholds: tuple[float, ...]) -> None:
+def _write_metrics_csv(run: _Run, metrics: list[ScenarioMetrics], thresholds: tuple[float, ...]) -> None:
     header = ["n_ev", "trips", "frac_charge"]
     header += [f"frac_below_{t:g}" for t in thresholds]
     header += ["frac_unroutable", "mean_speed"]
@@ -130,7 +152,7 @@ def _write_metrics_csv(path: str, metrics: list[ScenarioMetrics], thresholds: tu
         cells += [_fmt(m.frac_below(t)) for t in thresholds]
         cells += [_fmt(m.frac_unroutable), _fmt(m.mean_speed_kph)]
         rows.append(cells)
-    write_csv(path, header, rows, line_end="\n")
+    run.csv("metrics.csv", header, rows)
 
 
 def _metrics_summary(m: ScenarioMetrics) -> dict:
@@ -180,16 +202,12 @@ def _route_record(replicate: int, res: RoutePlan | Unroutable) -> dict:
 
 
 def cmd_simulate(ns) -> int:
-    t0 = time.monotonic()
-    opts = _resolve(ns)
-    cfg = scenario_from_options(opts)
-    sizes = list(opts["n_ev_grid"]) or [cfg.n_ev]
+    run, cfg = _scenario(ns)
+    sizes = list(run.opts["n_ev_grid"]) or [cfg.n_ev]
     dump = ns.dump_routes or ns.dump_ledger
     if dump and len(sizes) != 1:
         raise ConfigError("route/ledger dumps need a single fleet size, not a grid")
     grid, net, dist = load_scenario_inputs(cfg)
-    out = _out_dir(ns)
-    outputs = []
 
     if dump:
         cfg = dataclasses.replace(cfg, n_ev=sizes[0])
@@ -204,36 +222,27 @@ def cmd_simulate(ns) -> int:
             ledger_rows += [(r, cp, ev, _fmt(s), _fmt(e)) for cp, ev, s, e in ledger.to_rows()]
         metrics = [total]
         if ns.dump_routes:
-            path = os.path.join(out, "routes.jsonl")
-            write_text_atomic(path, "\n".join(route_lines) + "\n")
-            outputs.append(path)
+            write_text_atomic(run.path("routes.jsonl"), "\n".join(route_lines) + "\n")
         if ns.dump_ledger:
-            path = os.path.join(out, "ledger.csv")
-            write_csv(path, ("replicate", "cp_id", "ev_id", "start_h", "end_h"), ledger_rows, line_end="\n")
-            outputs.append(path)
+            run.csv("ledger.csv", ("replicate", "cp_id", "ev_id", "start_h", "end_h"), ledger_rows)
     else:
         metrics = run_scenario_grid(cfg, sizes, grid=grid, net=net, dist=dist)
 
-    csv_path = os.path.join(out, "metrics.csv")
-    _write_metrics_csv(csv_path, metrics, tuple(cfg.speed_thresholds_kph))
-    outputs.append(csv_path)
-    summary = {
-        "seed": opts["seed"],
-        "mode": opts["mode"],
-        "options": _options_record(opts),
+    _write_metrics_csv(run, metrics, tuple(cfg.speed_thresholds_kph))
+    run.json("summary.json", {
+        "seed": run.opts["seed"],
+        "mode": run.opts["mode"],
+        "options": _options_record(run.opts),
         "results": [_metrics_summary(m) for m in metrics],
-    }
-    summary_path = os.path.join(out, "summary.json")
-    write_text_atomic(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    outputs.append(summary_path)
-    _write_manifest(out, ns, opts, outputs, t0)
+    })
+    run.finish()
     for m in metrics:
         print(
             f"n_ev {m.n_ev}: {m.trips} trips, "
             f"{m.frac_needing_charge:.4f} needed charge, "
             f"mean speed {m.mean_speed_kph:.1f} kph"
         )
-    print(f"wrote {out}/metrics.csv")
+    print(f"wrote {run.dir}/metrics.csv")
     return 0
 
 
@@ -242,16 +251,10 @@ def cmd_simulate(ns) -> int:
 
 
 def cmd_faults(ns) -> int:
-    t0 = time.monotonic()
-    opts = _resolve(ns)
-    cfg = scenario_from_options(opts)
+    run, cfg = _scenario(ns)
     grid, net, dist = load_scenario_inputs(cfg)
-    spec = opts["add_redundancy"]
-    if spec:
-        if spec.startswith(ISOLATED):
-            targets = [p.id for p in net.isolated_points(float(spec[len(ISOLATED):]))]
-        else:
-            targets = spec.split(",")
+    if run.opts["add_redundancy"]:
+        targets = redundancy_targets(run.opts["add_redundancy"], net)
         net = add_colocated_redundancy(net, targets)
         print(f"added {len(targets)} redundant points; network now {len(net)} points")
 
@@ -264,29 +267,26 @@ def cmd_faults(ns) -> int:
             net,
             ledger,
             cfg.router,
-            list(opts["pf_grid"]),
-            opts["fault_masks"],
-            seed=opts["fault_seed"] + r,
+            list(run.opts["pf_grid"]),
+            run.opts["fault_masks"],
+            seed=run.opts["fault_seed"] + r,
         )
         rows = swept if rows is None else [a.merge(b) for a, b in zip(rows, swept)]
 
-    out = _out_dir(ns)
-    csv_path = os.path.join(out, "faults.csv")
-    write_csv(
-        csv_path,
+    run.csv(
+        "faults.csv",
         ("p_f", "trips", "needed_charge", "stranded", "unroutable", "p_s", "ci_low", "ci_high"),
         [(_fmt(row.p_f), row.trips, row.needed_charge, row.stranded, row.unroutable,
           _fmt(row.p_s), _fmt(row.ci_low), _fmt(row.ci_high)) for row in rows],
-        line_end="\n",
     )
-    _write_manifest(out, ns, opts, [csv_path], t0)
+    run.finish()
     for row in rows:
         print(
             f"p_f {row.p_f:.4g}: p_s {row.p_s:.3e} "
             f"[{row.ci_low:.2e}, {row.ci_high:.2e}], "
             f"unroutable {row.unroutable}/{row.trips}"
         )
-    print(f"wrote {csv_path}")
+    print(f"wrote {run.dir}/faults.csv")
     return 0
 
 
@@ -295,33 +295,25 @@ def cmd_faults(ns) -> int:
 
 
 def cmd_capacity(ns) -> int:
-    t0 = time.monotonic()
-    opts = _resolve(ns)
-    threshold = opts["capacity_threshold_kph"]
-    target = opts["capacity_target_p"]
-    cfg = scenario_from_options(opts)
+    run, cfg = _scenario(ns)
+    threshold, target = run.opts["capacity_threshold_kph"], run.opts["capacity_target_p"]
     grid, net, dist = load_scenario_inputs(cfg)
     result = capacity_search(cfg, threshold, target, grid=grid, net=net, dist=dist)
 
-    out = _out_dir(ns)
-    csv_path = os.path.join(out, "capacity.csv")
-    write_csv(
-        csv_path,
+    run.csv(
+        "capacity.csv",
         ("n_ev", "failures", "trials", "upper_ci"),
         [(p.n_ev, p.failures, p.trials, _fmt(p.upper_ci)) for p in result.probes],
-        line_end="\n",
     )
-    report = {
+    run.json("capacity.json", {
         "found": result.found,
         "capacity_n_ev": result.n_ev,
         "threshold_kph": result.threshold_kph,
         "target_p": result.target_p,
         "ceiling_n_ev": cfg.n_ev,
         "probes": [dataclasses.asdict(p) for p in result.probes],
-    }
-    json_path = os.path.join(out, "capacity.json")
-    write_text_atomic(json_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, ns, opts, [csv_path, json_path], t0)
+    })
+    run.finish()
     if result.found:
         print(
             f"capacity {result.n_ev} vehicles "
@@ -334,7 +326,7 @@ def cmd_capacity(ns) -> int:
             f"target {target:g} unreachable: {cfg.n_ev} vehicles times "
             f"{cfg.replicates} replicates are too few trials even with no failure"
         )
-    print(f"wrote {csv_path}")
+    print(f"wrote {run.dir}/capacity.csv")
     return 0
 
 
@@ -422,7 +414,9 @@ def cmd_validate(ns) -> int:
 
 
 def cmd_gen_fixtures(ns) -> int:
-    t0 = time.monotonic()
+    # the manifest's options: every flag but --out
+    run = _Run(ns, {key: getattr(ns, key) for key in (
+        "seed", "width_km", "height_km", "population", "n_dc", "n_ac", "blobs", "n_ev")})
     w, h = ns.width_km, ns.height_km
     if not all(math.isfinite(x) for x in (w, h, ns.population)):
         raise ConfigError("fixture width, height and population must be finite")
@@ -437,7 +431,6 @@ def cmd_gen_fixtures(ns) -> int:
     if ns.seed < 0:
         raise ConfigError("--seed must not be negative")
 
-    out = _out_dir(ns)
     anchor = GeoPoint(53.0, -8.0)
     blobs = None
     if ns.blobs > 0:
@@ -454,11 +447,10 @@ def cmd_gen_fixtures(ns) -> int:
     grid = synthetic_population_grid(anchor, int(w), int(h), ns.population, blobs)
     net = synthetic_network(anchor, w, h, ns.n_dc, ns.n_ac, ns.seed)
 
-    pop_path = os.path.join(out, "population.csv")
-    net_path = os.path.join(out, "network.csv")
+    pop_path, net_path = run.path("population.csv"), run.path("network.csv")
     write_population_csv(grid, pop_path)
     write_network_csv(net, net_path)
-    cfg_path = os.path.join(out, "scenario.cfg")
+    cfg_path = run.path("scenario.cfg")
     cfg_text = "\n".join(
         [
             describe_schema(),
@@ -473,17 +465,7 @@ def cmd_gen_fixtures(ns) -> int:
         ]
     )
     write_text_atomic(cfg_path, cfg_text)
-    opts = {
-        "seed": ns.seed,
-        "width_km": w,
-        "height_km": h,
-        "population": ns.population,
-        "n_dc": ns.n_dc,
-        "n_ac": ns.n_ac,
-        "blobs": ns.blobs,
-        "n_ev": ns.n_ev,
-    }
-    _write_manifest(out, ns, opts, [pop_path, net_path, cfg_path], t0)
+    run.finish()
     print(f"wrote {pop_path} ({len(grid)} cells), {net_path} ({len(net)} points)")
     print(f"wrote {cfg_path}")
     return 0

@@ -21,6 +21,7 @@ from .errors import ConfigError
 from .ev import EvParams
 from .experiment import ScenarioConfig
 from .files import open_text
+from .network import ChargeNetwork
 
 SEED_ENV_VAR = "CHARGESIM_SEED"
 
@@ -85,6 +86,13 @@ def parse_redundancy(text: str) -> str:
     if not ids:
         raise ValueError(f"no target ids in {text!r}")
     return ",".join(ids)
+
+
+def redundancy_targets(spec: str, net: ChargeNetwork) -> list[str]:
+    """The ids in net that parse_redundancy's spelling spec names."""
+    if spec.startswith(ISOLATED):
+        return [p.id for p in net.isolated_points(float(spec[len(ISOLATED):]))]
+    return spec.split(",")
 
 
 # key -> (parser, default, description); a default the scenario's dataclasses

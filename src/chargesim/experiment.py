@@ -16,7 +16,7 @@ of n is its trips below n, exactly sample_trip_batch's. Each search opens
 one runner for all its replicates: with k processes, this one and k - 1
 workers that each receive the grid, network and trip length table once,
 when they start, replicate r always runs in process r mod k, which keeps
-its trips. A call sends each worker only (cfg, full), and a worker returns
+its trips. A call sends each worker only (cfg, full), and a share keeps
 plans and ledgers only when full is set: run_scenario asks for metrics.
 """
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 import multiprocessing
 import os
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
@@ -245,6 +245,12 @@ class _Replicates:
                     m.below[t] += 1
         return m, results, ledger
 
+    def share(self, cfg: ScenarioConfig, full: bool, i: int, k: int) -> list[Replicate]:
+        """Replicates i, i + k, ... of cfg; unless full, each as (metrics, None,
+        None), its plans and ledger dropped before the next replicate runs."""
+        keep = (lambda rep: rep) if full else (lambda rep: (rep[0], None, None))
+        return [keep(self.run(cfg, r)) for r in range(i, cfg.replicates, k)]
+
 
 def run_replicate(
     cfg: ScenarioConfig,
@@ -265,18 +271,17 @@ def _serve(
     """A worker process: for each (cfg, full) the parent sends, runs
     replicates i, i + k, ... and sends back their results, with plans and
     ledgers only if full, or the exception that stopped them."""
-    share = _Replicates(grid, net, dist)
+    reps = _Replicates(grid, net, dist)
     while True:
         cfg, full = conn.recv()
         try:
-            out = [share.run(cfg, r) for r in range(i, cfg.replicates, k)]
-            conn.send(out if full else [(m, None, None) for m, _, _ in out])
+            conn.send(reps.share(cfg, full, i, k))
         except Exception as exc:
             conn.send(exc)
 
 
 # runs a config's replicates, returning their results in replicate order
-Runner = Callable[[ScenarioConfig, bool], Iterable[Replicate]]
+Runner = Callable[[ScenarioConfig, bool], list[Replicate]]
 
 
 @contextmanager
@@ -290,14 +295,11 @@ def _runner(
     processes: this one, and k - 1 workers that receive the inputs once,
     when they start. Replicate r always runs in process r mod k. A call
     sends every worker its task, runs this process's share, then collects
-    the workers' shares and raises the first exception any share raised.
-    The workers are stopped and joined on exit, however it comes."""
+    the workers' shares and raises the first exception any share raised:
+    at every k, it runs all its replicates before it returns them. The
+    workers are stopped and joined on exit, however it comes."""
     threads = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
     workers = min(threads, cfg.replicates)
-    if workers == 1:
-        local = _Replicates(grid, net, dist)
-        yield lambda c, full: (local.run(c, r) for r in range(c.replicates))
-        return
     ctx = multiprocessing.get_context()
     local = _Replicates(grid, net, dist)
     conns, procs = [], []
@@ -308,7 +310,7 @@ def _runner(
                 conn.send((c, full))
         except BrokenPipeError as exc:  # not stdout's, which main reports as closed
             raise RuntimeError("a worker process has exited") from exc
-        shares = [[local.run(c, r) for r in range(0, c.replicates, workers)]]
+        shares = [local.share(c, full, 0, workers)]
         shares += [conn.recv() for conn in conns]
         for share in shares:
             if isinstance(share, Exception):
@@ -364,20 +366,18 @@ def run_replicates(
     dist: TripLengthDistribution,
     *,
     full: bool = True,
-) -> Iterator[Replicate]:
-    """run_replicate's result for every replicate, yielded in replicate
-    order; with full unset, a worker's replicates as (metrics, None, None).
+) -> list[Replicate]:
+    """run_replicate's result for every replicate, in replicate order; with
+    full unset, each as (metrics, None, None).
     With more than one worker and replicate, this process runs one share of
     them and worker processes the rest; the outputs are the same either way,
     since replicates share no state and every fleet holds sample_trip_batch's
     trips. Inside _sharing_runner they run on its runner, otherwise on one
     opened here."""
-    shared = _shared.get()
-    if shared is not None:
-        yield from shared(cfg, full)
-        return
+    if (shared := _shared.get()) is not None:
+        return shared(cfg, full)
     with _runner(cfg, grid, net, dist) as run:
-        yield from run(cfg, full)
+        return run(cfg, full)
 
 
 def load_scenario_inputs(

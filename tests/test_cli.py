@@ -293,6 +293,8 @@ def test_a_populated_cell_at_a_pole_exits_3(fixture_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error: cannot place a point in population cell 0 at")
     assert err.count("\n") == 1
+    # the run directory is made at the first output, which never comes
+    assert not (tmp_path / "out").exists()
 
 
 # the C locale with Python's UTF-8 mode off: an open() that names no
@@ -327,6 +329,23 @@ def test_outputs_are_utf8_under_an_ascii_locale(fixture_dir, tmp_path):
     )
     assert r.returncode == 0, r.stderr
     assert copy.read_bytes() == net.read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["gen-fixtures", "--width-km", "20", "--height-km", "20", "--population", "1000"],
+    ["simulate", "--n-ev", "10", "--dump-routes", "--dump-ledger"],
+    ["faults", "--n-ev", "10", "--masks", "1", "--pf-grid", "0.5"],
+    ["capacity", "--n-ev", "12", "--target", "0.9"],
+], ids=["gen-fixtures", "simulate-dumps", "faults", "capacity"])
+def test_the_manifest_lists_exactly_the_files_written(fixture_dir, tmp_path, args):
+    out = tmp_path / "out"
+    if args[0] != "gen-fixtures":
+        args = [*args, "-c", str(fixture_dir / "scenario.cfg")]
+    assert main([*args, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    files = sorted(p.name for p in out.iterdir())
+    assert manifest["outputs"] == [f for f in files if f != "manifest.json"]
+    assert not list(out.glob("*.tmp"))
 
 
 def test_ledger_quotes_point_ids_that_hold_commas(fixture_dir, tmp_path):
@@ -445,8 +464,12 @@ def test_unknown_mode_is_a_config_error(fixture_dir, tmp_path, command, capsys):
         (["simulate"], "-1", "seed must be at least 0"),
         (["simulate", "--set", "n_ev_grid=0,5"], None, "n_ev must be at least 1"),
         (["simulate", "--threads", "-3"], None, "threads must be at least 0"),
+        # the input named here is missing: a data error would exit 3
+        (["simulate", "--n-ev-grid", "5,10", "--dump-routes",
+          "--set", "population_csv=no-such-dir/population.csv"],
+         None, "route/ledger dumps need a single fleet size"),
     ],
-    ids=["seed", "fault-seed", "seed-env", "n-ev-grid", "threads"],
+    ids=["seed", "fault-seed", "seed-env", "n-ev-grid", "threads", "dump-with-grid"],
 )
 def test_rejects_bad_values_before_reading_inputs(
     fixture_dir, tmp_path, monkeypatch, capsys, args, env, message
@@ -673,6 +696,7 @@ def test_a_populated_cell_at_a_pole_exits_3_with_workers(fixture_dir, tmp_path, 
         ) == 3
         errs.append(capsys.readouterr().err)
         assert multiprocessing.active_children() == []
+        assert not (tmp_path / f"out{threads}").exists()
     assert errs[0] == errs[1]
     assert errs[0].startswith("data error: cannot place a point in population cell 0 at")
 

@@ -274,6 +274,18 @@ def test_parallel_replicates_match_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_replicates_without_full_return_only_their_metrics(threads):
+    # every process, this one included, drops a replicate's plans and
+    # ledger when only its metrics are asked for
+    cfg = ScenarioConfig(n_ev=25, seed=3, replicates=3, threads=threads)
+    grid, net, dist = line_grid(), line_net(), default_trip_distribution()
+    full = run_replicates(cfg, grid, net, dist)
+    bare = run_replicates(cfg, grid, net, dist, full=False)
+    assert all(len(results) == 25 for _, results, _ in full)
+    assert bare == [(m, None, None) for m, _, _ in full]
+
+
 @pytest.mark.parametrize("failing", [0, 1], ids=["this-process", "worker"])
 def test_a_failing_share_raises_and_stops_every_worker(monkeypatch, failing):
     # replicate 0 runs in this process and replicate 1 in the worker
