@@ -23,6 +23,8 @@ import math
 import os
 import sys
 import time
+from functools import partial, reduce
+from itertools import chain
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from .experiment import (
     run_replicates,
     run_scenario_grid,
 )
-from .faults import run_fault_sweep
+from .faults import SweepRow, run_fault_sweep
 from .files import write_csv, write_text_atomic
 from .fixtures import (
     PopulationBlob,
@@ -201,6 +203,16 @@ def _route_record(replicate: int, res: RoutePlan | Unroutable) -> dict:
     }
 
 
+def _dump_replicate(routes: bool, ledger: bool, reps, cfg: ScenarioConfig,
+                    r: int) -> tuple[ScenarioMetrics, list[str], list[tuple]]:
+    """A run_replicates task: replicate r's metrics, and its route lines and
+    ledger rows, each only if asked for."""
+    m, results, led = reps.run(cfg, r)
+    lines = [json.dumps(_route_record(r, res), sort_keys=True) for res in results] if routes else []
+    rows = [(r, cp, ev, _fmt(s), _fmt(e)) for cp, ev, s, e in led.to_rows()] if ledger else []
+    return m, lines, rows
+
+
 def cmd_simulate(ns) -> int:
     run, cfg = _scenario(ns)
     sizes = list(run.opts["n_ev_grid"]) or [cfg.n_ev]
@@ -211,20 +223,14 @@ def cmd_simulate(ns) -> int:
 
     if dump:
         cfg = dataclasses.replace(cfg, n_ev=sizes[0])
-        total = ScenarioMetrics(n_ev=cfg.n_ev, thresholds=tuple(cfg.speed_thresholds_kph))
-        route_lines: list[str] = []
-        ledger_rows = []
-        for r, (m, results, ledger) in enumerate(run_replicates(cfg, grid, net, dist)):
-            total.merge(m)
-            route_lines += [
-                json.dumps(_route_record(r, res), sort_keys=True) for res in results
-            ]
-            ledger_rows += [(r, cp, ev, _fmt(s), _fmt(e)) for cp, ev, s, e in ledger.to_rows()]
-        metrics = [total]
+        task = partial(_dump_replicate, ns.dump_routes, ns.dump_ledger)
+        ms, route_lines, ledger_rows = zip(*run_replicates(cfg, grid, net, dist, task))
+        metrics = [reduce(ScenarioMetrics.merge, ms)]
         if ns.dump_routes:
-            write_text_atomic(run.path("routes.jsonl"), "\n".join(route_lines) + "\n")
+            write_text_atomic(run.path("routes.jsonl"), "\n".join(chain(*route_lines)) + "\n")
         if ns.dump_ledger:
-            run.csv("ledger.csv", ("replicate", "cp_id", "ev_id", "start_h", "end_h"), ledger_rows)
+            run.csv("ledger.csv", ("replicate", "cp_id", "ev_id", "start_h", "end_h"),
+                    chain(*ledger_rows))
     else:
         metrics = run_scenario_grid(cfg, sizes, grid=grid, net=net, dist=dist)
 
@@ -250,6 +256,16 @@ def cmd_simulate(ns) -> int:
 # faults
 
 
+def _sweep_replicate(pf_grid: list[float], masks: int, fault_seed: int, reps,
+                     cfg: ScenarioConfig, r: int) -> list[SweepRow]:
+    """A run_replicates task: plan replicate r, then sweep its plans on the
+    runner's network, which holds any redundant twins."""
+    m, results, ledger = reps.run(cfg, r)
+    plans = [p for p in results if isinstance(p, RoutePlan)]
+    return run_fault_sweep(plans, m.unroutable, reps.net, ledger, cfg.router, pf_grid, masks,
+                           seed=fault_seed + r)
+
+
 def cmd_faults(ns) -> int:
     run, cfg = _scenario(ns)
     grid, net, dist = load_scenario_inputs(cfg)
@@ -258,20 +274,10 @@ def cmd_faults(ns) -> int:
         net = add_colocated_redundancy(net, targets)
         print(f"added {len(targets)} redundant points; network now {len(net)} points")
 
-    rows = None
-    for r, (m, results, ledger) in enumerate(run_replicates(cfg, grid, net, dist)):
-        plans = [p for p in results if isinstance(p, RoutePlan)]
-        swept = run_fault_sweep(
-            plans,
-            m.unroutable,
-            net,
-            ledger,
-            cfg.router,
-            list(run.opts["pf_grid"]),
-            run.opts["fault_masks"],
-            seed=run.opts["fault_seed"] + r,
-        )
-        rows = swept if rows is None else [a.merge(b) for a, b in zip(rows, swept)]
+    sweep = partial(_sweep_replicate, list(run.opts["pf_grid"]), run.opts["fault_masks"],
+                    run.opts["fault_seed"])
+    swept = run_replicates(cfg, grid, net, dist, sweep)
+    rows = [reduce(SweepRow.merge, at_p_f) for at_p_f in zip(*swept)]
 
     run.csv(
         "faults.csv",

@@ -16,8 +16,9 @@ of n is its trips below n, exactly sample_trip_batch's. Each search opens
 one runner for all its replicates: with k processes, this one and k - 1
 workers that each receive the grid, network and trip length table once,
 when they start, replicate r always runs in process r mod k, which keeps
-its trips. A call sends each worker only (cfg, full), and a share keeps
-plans and ledgers only when full is set: run_scenario asks for metrics.
+its trips. A call sends each worker only (cfg, task), and task(reps, cfg, r)
+runs in the process that owns r, so a replicate's plans and ledger are
+dropped where it ran: run_scenario's task, metrics_of, returns its metrics.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -124,16 +125,20 @@ class ScenarioMetrics:
     def ci_below(self, threshold_kph: float) -> tuple[float, float]:
         return wilson_interval(self.below[threshold_kph], self.trips)
 
-    def merge(self, other: "ScenarioMetrics") -> None:
+    def merge(self, other: "ScenarioMetrics") -> "ScenarioMetrics":
+        """The metrics over both sets of trips; counts and speed sums add."""
         if other.thresholds != self.thresholds:
             raise ValueError("cannot merge metrics with different thresholds")
-        self.trips += other.trips
-        self.needed_charge += other.needed_charge
-        self.unroutable += other.unroutable
-        self.completed += other.completed
-        self.speed_sum_kph += other.speed_sum_kph
-        for t in self.thresholds:
-            self.below[t] += other.below[t]
+        return ScenarioMetrics(
+            n_ev=self.n_ev,
+            thresholds=self.thresholds,
+            trips=self.trips + other.trips,
+            needed_charge=self.needed_charge + other.needed_charge,
+            unroutable=self.unroutable + other.unroutable,
+            completed=self.completed + other.completed,
+            below={t: self.below[t] + other.below[t] for t in self.thresholds},
+            speed_sum_kph=self.speed_sum_kph + other.speed_sum_kph,
+        )
 
 
 def _trip_rng(seed: int, replicate: int, i: int) -> np.random.Generator:
@@ -245,11 +250,20 @@ class _Replicates:
                     m.below[t] += 1
         return m, results, ledger
 
-    def share(self, cfg: ScenarioConfig, full: bool, i: int, k: int) -> list[Replicate]:
-        """Replicates i, i + k, ... of cfg; unless full, each as (metrics, None,
-        None), its plans and ledger dropped before the next replicate runs."""
-        keep = (lambda rep: rep) if full else (lambda rep: (rep[0], None, None))
-        return [keep(self.run(cfg, r)) for r in range(i, cfg.replicates, k)]
+    def share(self, cfg: ScenarioConfig, task: Task, i: int, k: int) -> list:
+        """task(self, cfg, r) for replicates r = i, i + k, ... of cfg, each
+        run before the next replicate starts."""
+        return [task(self, cfg, r) for r in range(i, cfg.replicates, k)]
+
+
+# a module-level function, or a functools.partial of one, that runs replicate r
+# on a _Replicates and returns what the caller keeps; it is pickled by reference
+Task = Callable[[_Replicates, ScenarioConfig, int], object]
+
+
+def metrics_of(reps: _Replicates, cfg: ScenarioConfig, r: int) -> ScenarioMetrics:
+    """A task: replicate r's metrics, its plans and ledger dropped."""
+    return reps.run(cfg, r)[0]
 
 
 def run_replicate(
@@ -268,20 +282,23 @@ def run_replicate(
 def _serve(
     conn, k: int, i: int, grid: PopulationGrid, net: ChargeNetwork, dist: TripLengthDistribution
 ) -> None:
-    """A worker process: for each (cfg, full) the parent sends, runs
-    replicates i, i + k, ... and sends back their results, with plans and
-    ledgers only if full, or the exception that stopped them."""
+    """A worker process: for each (cfg, task) the parent sends, runs task on
+    replicates i, i + k, ... and sends back what it returned, or the
+    exception that stopped it."""
     reps = _Replicates(grid, net, dist)
     while True:
-        cfg, full = conn.recv()
+        cfg, task = conn.recv()
         try:
-            conn.send(reps.share(cfg, full, i, k))
+            conn.send(reps.share(cfg, task, i, k))
         except Exception as exc:
             conn.send(exc)
 
 
-# runs a config's replicates, returning their results in replicate order
-Runner = Callable[[ScenarioConfig, bool], list[Replicate]]
+# runs a task on a config's replicates, returning its results in replicate order
+Runner = Callable[[ScenarioConfig, Task], list]
+
+# the runner that run_replicates calls use while one is open
+_shared: ContextVar[Runner | None] = ContextVar("shared_runner", default=None)
 
 
 @contextmanager
@@ -294,9 +311,10 @@ def _runner(
     """A runner on one set of inputs over k = min(threads, replicates)
     processes: this one, and k - 1 workers that receive the inputs once,
     when they start. Replicate r always runs in process r mod k. A call
-    sends every worker its task, runs this process's share, then collects
-    the workers' shares and raises the first exception any share raised:
-    at every k, it runs all its replicates before it returns them. The
+    sends every worker (cfg, task), runs this process's share, then collects
+    the workers' shares and raises the first exception any share raised.
+    Every run_replicates call inside runs here, and must pass the same grid,
+    network and table and a config that differs from cfg in n_ev alone. The
     workers are stopped and joined on exit, however it comes."""
     threads = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
     workers = min(threads, cfg.replicates)
@@ -304,19 +322,20 @@ def _runner(
     local = _Replicates(grid, net, dist)
     conns, procs = [], []
 
-    def run(c: ScenarioConfig, full: bool) -> list[Replicate]:
+    def run(c: ScenarioConfig, task: Task) -> list:
         try:
             for conn in conns:
-                conn.send((c, full))
+                conn.send((c, task))
         except BrokenPipeError as exc:  # not stdout's, which main reports as closed
             raise RuntimeError("a worker process has exited") from exc
-        shares = [local.share(c, full, 0, workers)]
+        shares = [local.share(c, task, 0, workers)]
         shares += [conn.recv() for conn in conns]
         for share in shares:
             if isinstance(share, Exception):
                 raise share
         return [shares[r % workers][r // workers] for r in range(c.replicates)]
 
+    token = _shared.set(run)
     try:
         for i in range(1, workers):
             conn, theirs = ctx.Pipe()
@@ -328,6 +347,7 @@ def _runner(
             theirs.close()
         yield run
     finally:
+        _shared.reset(token)
         # a worker may be busy, or blocked sending a share never read
         for p in procs:
             p.terminate()
@@ -336,48 +356,23 @@ def _runner(
             conn.close()
 
 
-# the runner shared by the run_replicates calls of one search or fleet grid
-_shared: ContextVar[Runner | None] = ContextVar("shared_runner", default=None)
-
-
-@contextmanager
-def _sharing_runner(
-    cfg: ScenarioConfig,
-    grid: PopulationGrid,
-    net: ChargeNetwork,
-    dist: TripLengthDistribution,
-) -> Iterator[None]:
-    """One runner, with its workers and its sampled trips, for every
-    run_replicates call inside. Each call must pass the same grid, network
-    and table, and a config that differs from cfg in n_ev alone, so that the
-    inputs and the worker count the runner was opened with hold for it."""
-    with _runner(cfg, grid, net, dist) as run:
-        token = _shared.set(run)
-        try:
-            yield
-        finally:
-            _shared.reset(token)
-
-
 def run_replicates(
     cfg: ScenarioConfig,
     grid: PopulationGrid,
     net: ChargeNetwork,
     dist: TripLengthDistribution,
-    *,
-    full: bool = True,
-) -> list[Replicate]:
-    """run_replicate's result for every replicate, in replicate order; with
-    full unset, each as (metrics, None, None).
-    With more than one worker and replicate, this process runs one share of
-    them and worker processes the rest; the outputs are the same either way,
-    since replicates share no state and every fleet holds sample_trip_batch's
-    trips. Inside _sharing_runner they run on its runner, otherwise on one
-    opened here."""
+    task: Task,
+) -> list:
+    """task(reps, cfg, r) for every replicate r, in replicate order, each
+    run in the process that owns r, where reps holds the runner's inputs
+    and that process's sampled trips. The results are the same at any
+    process count, since replicates share no state and every fleet holds
+    sample_trip_batch's trips. Inside _runner they run on its runner,
+    otherwise on one opened here."""
     if (shared := _shared.get()) is not None:
-        return shared(cfg, full)
+        return shared(cfg, task)
     with _runner(cfg, grid, net, dist) as run:
-        return run(cfg, full)
+        return run(cfg, task)
 
 
 def load_scenario_inputs(
@@ -401,9 +396,7 @@ def run_scenario(
 ) -> ScenarioMetrics:
     """All replicates of one scenario, merged. Deterministic for a given
     config: replicates use disjoint substreams and merge in order."""
-    total = ScenarioMetrics(n_ev=cfg.n_ev, thresholds=tuple(cfg.speed_thresholds_kph))
-    for m, _, _ in run_replicates(cfg, grid, net, dist, full=False):
-        total.merge(m)
+    total = reduce(ScenarioMetrics.merge, run_replicates(cfg, grid, net, dist, metrics_of))
     assert total.completed + total.unroutable == total.trips
     return total
 
@@ -416,7 +409,7 @@ def run_scenario_grid(
     net: ChargeNetwork,
     dist: TripLengthDistribution,
 ) -> list[ScenarioMetrics]:
-    with _sharing_runner(cfg, grid, net, dist):
+    with _runner(cfg, grid, net, dist):
         return [
             run_scenario(replace(cfg, n_ev=n), grid=grid, net=net, dist=dist)
             for n in n_ev_grid
@@ -504,7 +497,7 @@ def capacity_search(
     n0 = _least_passable_fleet(cfg.replicates, target_p, ceiling)
     if n0 is None:
         return result(False, 0)
-    with _sharing_runner(cfg, grid, net, dist):
+    with _runner(cfg, grid, net, dist):
         if not passes(n0):
             return result(False, 0)
         lo = n0

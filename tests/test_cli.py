@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from chargesim import experiment, triplength
+from chargesim import cli, experiment, triplength
 from chargesim.cli import SCENARIO_FLAGS, _collect_overrides, build_parser, main
 from chargesim.config import SEED_ENV_VAR, parse_pf_grid, parse_value
 from chargesim.errors import ConfigError
@@ -557,9 +557,10 @@ def test_faults_subcommand(fixture_dir, tmp_path):
     assert int(first[3]) == 0  # nothing strands when nothing fails
 
 
-def test_pooled_replicates_match_serial(fixture_dir, tmp_path):
+def test_pooled_replicates_match_serial(fixture_dir, tmp_path, capsys):
     # a short range makes trips charge, so routes, bookings and strandings
-    # all depend on the replicate each worker ran
+    # all depend on the replicate each worker ran; the workers sweep on the
+    # network with the redundant twins added
     common = ["-c", str(fixture_dir / "scenario.cfg"), "--replicates", "3",
               "--set", "max_range_km=20"]
     outs = {}
@@ -571,8 +572,10 @@ def test_pooled_replicates_match_serial(fixture_dir, tmp_path):
         ) == 0
         assert main(
             ["faults", *common, "--out", str(d / "faults"), "--n-ev", "15",
-             "--threads", threads, "--pf-grid", "0.2,0.6", "--masks", "3"]
+             "--threads", threads, "--pf-grid", "0.2,0.6", "--masks", "3",
+             "--add-redundancy", "isolated:5"]
         ) == 0
+        assert "added 10 redundant points; network now 26 points" in capsys.readouterr().out
         assert main(
             ["capacity", *common, "--out", str(d / "capacity"), "--n-ev", "12",
              "--threads", threads, "--threshold", "60", "--target", "0.7"]
@@ -639,17 +642,48 @@ def test_one_pool_per_command(fixture_dir, tmp_path, monkeypatch, args):
 
 def test_pool_workers_need_only_their_initializer(fixture_dir, tmp_path, monkeypatch):
     # spawned workers inherit no module state, so the same outputs show that
-    # each worker gets its inputs from its process arguments alone
-    common = ["capacity", "-c", str(fixture_dir / "scenario.cfg"), "--n-ev", "12",
-              "--replicates", "3", "--set", "max_range_km=20", "--threshold", "60",
-              "--target", "0.7"]
-    assert main([*common, "--out", str(tmp_path / "serial"), "--threads", "1"]) == 0
+    # each worker gets its inputs from its process arguments alone, and
+    # unpickles the faults command's sweep task by reference
+    common = ["-c", str(fixture_dir / "scenario.cfg"), "--replicates", "3",
+              "--set", "max_range_km=20"]
+    commands = {
+        "capacity": ["capacity", *common, "--n-ev", "12", "--threshold", "60", "--target", "0.7"],
+        "faults": ["faults", *common, "--n-ev", "15", "--pf-grid", "0.2,0.6", "--masks", "3",
+                   "--add-redundancy", "isolated:5"],
+    }
+    for name, argv in commands.items():
+        assert main([*argv, "--out", str(tmp_path / "serial" / name), "--threads", "1"]) == 0
     built = counting_workers(monkeypatch, "spawn")
-    assert main([*common, "--out", str(tmp_path / "spawned"), "--threads", "2"]) == 0
-    assert built == [1]
-    for name in ("capacity.csv", "capacity.json"):
+    for name, argv in commands.items():
+        assert main([*argv, "--out", str(tmp_path / "spawned" / name), "--threads", "2"]) == 0
+    assert built == [1, 1]
+    for name in ("capacity/capacity.csv", "capacity/capacity.json", "faults/faults.csv"):
         spawned, serial = (tmp_path / d / name for d in ("spawned", "serial"))
         assert spawned.read_bytes() == serial.read_bytes()
+
+
+def test_faults_sweeps_each_replicate_before_planning_the_next(fixture_dir, tmp_path,
+                                                               monkeypatch):
+    # one replicate's plans and ledger are held at a time
+    calls = []
+    real_run, real_sweep = experiment._Replicates.run, cli.run_fault_sweep
+
+    def run(self, cfg, replicate):
+        calls.append("run")
+        return real_run(self, cfg, replicate)
+
+    def sweep(*args, **kwargs):
+        calls.append("sweep")
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(experiment._Replicates, "run", run)
+    monkeypatch.setattr(cli, "run_fault_sweep", sweep)
+    assert main(
+        ["faults", "-c", str(fixture_dir / "scenario.cfg"), "--out", str(tmp_path / "out"),
+         "--n-ev", "10", "--replicates", "3", "--threads", "1", "--masks", "2",
+         "--pf-grid", "0.5"]
+    ) == 0
+    assert calls == ["run", "sweep"] * 3
 
 
 @pytest.mark.parametrize("threads", ["2", "3"])

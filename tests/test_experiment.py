@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import multiprocessing
 import time
@@ -274,16 +275,25 @@ def test_parallel_replicates_match_serial():
     assert serial == parallel
 
 
+def whole_replicate(reps, cfg, r):
+    """A run_replicates task that keeps replicate r's plans and ledger."""
+    return reps.run(cfg, r)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-def test_replicates_without_full_return_only_their_metrics(threads):
-    # every process, this one included, drops a replicate's plans and
-    # ledger when only its metrics are asked for
+def test_replicates_return_only_what_their_task_keeps(threads):
+    # every process, this one included, returns what the task returned for
+    # each of its replicates, in replicate order: only the metrics when
+    # metrics_of asks for them
     cfg = ScenarioConfig(n_ev=25, seed=3, replicates=3, threads=threads)
     grid, net, dist = line_grid(), line_net(), default_trip_distribution()
-    full = run_replicates(cfg, grid, net, dist)
-    bare = run_replicates(cfg, grid, net, dist, full=False)
-    assert all(len(results) == 25 for _, results, _ in full)
-    assert bare == [(m, None, None) for m, _, _ in full]
+    whole = run_replicates(cfg, grid, net, dist, whole_replicate)
+    bare = run_replicates(cfg, grid, net, dist, experiment.metrics_of)
+    assert all(len(results) == 25 for _, results, _ in whole)
+    assert bare == [m for m, _, _ in whole]
+    assert [m for m, _, _ in whole] == [
+        run_replicate(cfg, r, grid, net, dist)[0] for r in range(cfg.replicates)
+    ]
 
 
 @pytest.mark.parametrize("failing", [0, 1], ids=["this-process", "worker"])
@@ -294,8 +304,9 @@ def test_a_failing_share_raises_and_stops_every_worker(monkeypatch, failing):
     def run(self, cfg, replicate):
         if replicate == failing:
             if replicate == 0:
-                # the worker's share of full plans, far more than a pipe
-                # holds, is then never read, and its send blocks
+                # the worker's share, a whole replicate with its plans and
+                # far more than a pipe holds, is then never read, and its
+                # send blocks
                 time.sleep(0.5)
             raise DataError(f"replicate {replicate} failed")
         return real(self, cfg, replicate)
@@ -303,7 +314,7 @@ def test_a_failing_share_raises_and_stops_every_worker(monkeypatch, failing):
     monkeypatch.setattr(experiment._Replicates, "run", run)
     cfg = ScenarioConfig(n_ev=3000, seed=3, replicates=2, threads=2)
     with pytest.raises(DataError, match=f"^replicate {failing} failed$"):
-        list(run_replicates(cfg, line_grid(), line_net(), default_trip_distribution()))
+        run_replicates(cfg, line_grid(), line_net(), default_trip_distribution(), whole_replicate)
     assert multiprocessing.active_children() == []
 
 
@@ -316,8 +327,9 @@ def test_a_worker_that_exited_is_an_error_of_its_own():
         worker.kill()
         worker.join()
         with pytest.raises(RuntimeError, match="worker process has exited"):
-            run(cfg, False)
+            run(cfg, experiment.metrics_of)
     assert multiprocessing.active_children() == []
+    assert experiment._shared.get() is None  # later calls open a runner of their own
 
 
 def test_run_replicate_exposes_ledger_and_outcomes():
@@ -376,6 +388,17 @@ def test_metrics_zero_trip_guards_and_merge():
     other = ScenarioMetrics(n_ev=1, thresholds=(40.0,))
     with pytest.raises(ValueError):
         m.merge(other)
+    # a merge returns the sum and leaves both operands as they were
+    a = ScenarioMetrics(n_ev=3, thresholds=(60.0, 40.0), trips=3, needed_charge=2,
+                        unroutable=1, completed=2, below={60.0: 2, 40.0: 1}, speed_sum_kph=90.0)
+    b = ScenarioMetrics(n_ev=3, thresholds=(60.0, 40.0), trips=3, needed_charge=1,
+                        unroutable=0, completed=3, below={60.0: 1, 40.0: 0}, speed_sum_kph=150.5)
+    before = copy.deepcopy((a, b))
+    assert a.merge(b) == ScenarioMetrics(
+        n_ev=3, thresholds=(60.0, 40.0), trips=6, needed_charge=3, unroutable=1, completed=5,
+        below={60.0: 3, 40.0: 1}, speed_sum_kph=240.5,
+    )
+    assert (a, b) == before
 
 
 def test_capacity_search_on_saturating_fixture():

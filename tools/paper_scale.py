@@ -12,6 +12,8 @@ on both sides, in three alternating pairs (PAIRS):
   capacity-MODE-tN      capacity --n-ev 2000 --replicates 4
                         --target 1e-3 --threads N, for MODE aware and
                         blind and N 1 and 2
+  faults-tN             faults --n-ev 2000 --replicates 4 --masks 100
+                        --seed 0 --threads N, for N 1 and 2
 
 With --full it also runs the capacity search itself once per side:
 capacity --threshold 40 --target 1e-3 --n-ev 40000 --replicates 1 --seed 0
@@ -52,6 +54,11 @@ RUNS = {
     **{
         f"capacity-{mode}-t{threads}": [*SHORT_CAPACITY, "--mode", mode, "--threads", threads]
         for mode in ("aware", "blind") for threads in ("1", "2")
+    },
+    **{
+        f"faults-t{threads}": ["faults", "--n-ev", "2000", "--replicates", "4", "--masks", "100",
+                               "--seed", "0", "--threads", threads]
+        for threads in ("1", "2")
     },
 }
 FULL = ["capacity", "--threshold", "40", "--target", "1e-3", "--n-ev", "40000",
