@@ -10,18 +10,25 @@ its destination. Reservations never decide it, because the ledger always
 yields a slot and a wait never changes whether a trip can finish, so the
 verdict depends on charge alone.
 
-A max-charge search gives the verdict. It keeps the highest departure
-charge per point and uses the router's leg arithmetic, so it reaches the
-destination exactly when plan_route, given the same start, charge, floor 0
-and faulted points, returns a plan. The router is consulted only for a
-trip that cannot finish, which it reports unroutable; that re-plan honours
-other vehicles' reservations and books nothing, so one vehicle's fault
-never cascades into another's schedule. The one difference from asking
-the router every time: a trip where plan_route would pop MAX_LABELS labels
-before finding a route that exists now counts as rerouted, not stranded.
+A max-charge search gives the verdict and the path that proves it. It
+keeps the highest departure charge per point and uses the router's leg
+arithmetic, so it finds a path exactly when plan_route, given the same
+start, charge, floor 0 and faulted points, returns a plan. The router is
+consulted only for a trip that cannot finish, which it reports
+unroutable; that re-plan honours other vehicles' reservations and books
+nothing, so one vehicle's fault never cascades into another's schedule.
+The one difference from asking the router every time: a trip where
+plan_route would pop MAX_LABELS labels before finding a route that exists
+now counts as rerouted, not stranded.
 
 Sweeps over p_f reuse one uniform draw per point per mask (common random
-numbers), which makes the stranding curve exactly monotone in p_f.
+numbers), which makes the stranding curve exactly monotone in p_f. The
+sweep runs plan by plan over blocks of masks, not mask by mask: one array
+test finds each mask's first faulty stop of a plan, and a finishing path
+found from that stop clears, in one more array test, every mask that
+leaves its points up. A path's feasibility depends on its start, its
+charge and its points alone, so the reuse is exact, and only the masks
+that no path found so far avoids are replayed.
 """
 
 from __future__ import annotations
@@ -44,6 +51,14 @@ COMPLETED = "completed"
 REROUTED = "rerouted"
 STRANDED = "stranded"
 
+# masks drawn at a time by run_fault_sweep: 512 rows of 708 points hold 2.9 MB
+MASK_BLOCK = 512
+
+
+def _down(ids: list[str], u: np.ndarray, p_f: float) -> frozenset[str]:
+    """The points down at p_f: those whose uniform is below it."""
+    return frozenset(ids[j] for j in np.flatnonzero(u < p_f))
+
 
 def sample_fault_masks(
     net: ChargeNetwork, p_fs: list[float], rng: np.random.Generator
@@ -53,10 +68,20 @@ def sample_fault_masks(
     so the masks nest as p_f rises (common random numbers)."""
     ids = sorted(net.by_id)
     u = rng.random(len(ids))
-    return [frozenset(pid for pid, x in zip(ids, u) if x < p_f) for p_f in p_fs]
+    return [_down(ids, u, p_f) for p_f in p_fs]
 
 
-def can_finish(
+def _mask_uniforms(n_points: int, seed: int, masks: range) -> np.ndarray:
+    """The uniforms of the masks in `masks`, a row each in that order: mask
+    m's row is what sample_fault_masks draws from SeedSequence(seed,
+    spawn_key=(m,)), one uniform per point in id order."""
+    u = np.empty((len(masks), n_points))
+    for row, m in zip(u, masks):
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(m,))).random(out=row)
+    return u
+
+
+def finishing_path(
     start: GeoPoint,
     soc: float,
     destination: GeoPoint,
@@ -64,28 +89,31 @@ def can_finish(
     ev: EvParams,
     exclude: frozenset[str],
     to_dest: dict[GeoPoint, float],
-) -> bool:
-    """Whether some sequence of points outside `exclude` takes a
-    vehicle at `start` with charge `soc` to the destination, at floor 0.
+) -> tuple[str, ...] | None:
+    """The ids of the points on a path outside `exclude` that takes a
+    vehicle at `start` with charge `soc` to the destination, at floor 0:
+    () when it needs no stop, None when there is no such path.
 
     Points pop in order of their best departure charge. A stop charges to
     the target or keeps a higher arrival charge, so a point's departure
     charge never falls below the target and never exceeds the charge it
-    was reached from: the first pop of a point holds its highest charge.
-    More charge reaches a superset of legs, so keeping only the highest is
-    exact. A point is tested against the destination when its charge is
-    raised, so the search ends at the first point that can finish.
-    `to_dest` caches the km from each location to the destination.
+    was reached from: the first pop of a point holds its highest charge,
+    and the point it was reached from is final by then. More charge
+    reaches a superset of legs, so keeping only the highest is exact. A
+    point is tested against the destination when its charge is raised, so
+    the search ends at the first point that can finish. `to_dest` caches
+    the km from each location to the destination.
     """
     target = ev.charge_target_soc
     best: dict[str, float] = {}
+    came_from: dict[str, str | None] = {}
     heap: list[tuple[float, str, ChargePoint]] = []
     d_dest = to_dest.get(start)
     if d_dest is None:
         d_dest = to_dest[start] = distance_km(start, destination)
-    loc, reach = start, span_km(ev, soc, 0.0)
+    here, loc, reach = None, start, span_km(ev, soc, 0.0)
     if d_dest <= reach:
-        return True
+        return ()
     while True:
         for d_leg, cp in net.within_radius(loc, reach):
             if cp.id in exclude:
@@ -97,15 +125,20 @@ def can_finish(
                 if d_dest is None:
                     d_dest = to_dest[cp.location] = distance_km(cp.location, destination)
                 if d_dest <= span_km(ev, soc_out, 0.0):
-                    return True
+                    path = [cp.id]
+                    while here is not None:
+                        path.append(here)
+                        here = came_from[here]
+                    return tuple(reversed(path))
                 best[cp.id] = soc_out
+                came_from[cp.id] = here
                 heapq.heappush(heap, (-soc_out, cp.id, cp))
         while heap:
-            neg, pid, cp = heapq.heappop(heap)
-            if -neg == best[pid]:
+            neg, here, cp = heapq.heappop(heap)
+            if -neg == best[here]:
                 break
         else:
-            return False
+            return None
         soc, loc = -neg, cp.location
         reach = span_km(ev, soc, 0.0)
 
@@ -117,20 +150,30 @@ def replay_trip(
     ledger: ReservationLedger,
     cfg: RouterConfig,
     to_dest: dict[GeoPoint, float] | None = None,
+    found: list[tuple[str, ...]] | None = None,
 ) -> str:
     """Drive a committed plan against a fault mask: COMPLETED, REROUTED or
-    STRANDED. `to_dest` may carry the km from each location to the plan's
-    destination from one replay to the next."""
-    faulty = None
-    for s in plan.stops:
-        if s.cp_id in mask:
-            faulty = s
+    STRANDED. From the first stop in the mask the trip is REROUTED when
+    finishing_path finds a path around the mask, and STRANDED when it
+    finds none and the router, asked once, confirms it.
+
+    `to_dest` may carry the km from each location to the plan's
+    destination from one replay to the next. `found`, when given, receives
+    the path of a rerouted replay. That path starts at the same stop with
+    the same charge under every mask whose first faulty stop it is, so it
+    proves REROUTED, with no search, for each of them that leaves its
+    points up; run_fault_sweep keeps such paths per plan and stop."""
+    for faulty in plan.stops:
+        if faulty.cp_id in mask:
             break
-    if faulty is None:
+    else:
         return COMPLETED
     here = net.by_id[faulty.cp_id].location
-    if can_finish(here, faulty.soc_in, plan.destination, net, cfg.ev, mask,
-                  {} if to_dest is None else to_dest):
+    path = finishing_path(here, faulty.soc_in, plan.destination, net, cfg.ev, mask,
+                          {} if to_dest is None else to_dest)
+    if path is not None:
+        if found is not None:
+            found.append(path)
         return REROUTED
     # the router confirms the stranding; reroutes honour existing
     # reservations even when the original plan was made blind
@@ -199,28 +242,47 @@ def run_fault_sweep(
 ) -> list[SweepRow]:
     """Replay a committed route set under masks drawn at each p_f.
 
+    Mask m is sample_fault_masks's draw from SeedSequence(seed,
+    spawn_key=(m,)). Masks are drawn MASK_BLOCK at a time and swept plan by
+    plan; of the masks whose first faulty stop of a plan is stop j, only
+    those that no finishing path found from stop j avoids are replayed.
+
     Counts aggregate over masks: `trips` is journeys replayed plus the
     unroutable ones carried through for the denominator, and p_s is
     stranded over trips. The binomial interval ignores the correlation
     between trips sharing a mask, so read it as a scale, not a guarantee.
     """
     grid = sorted(set(p_f_grid))
+    ids = sorted(net.by_id)
+    column = {pid: j for j, pid in enumerate(ids)}
     charging = [p for p in plans if p.stops]
     n_charging_flagged = sum(1 for p in plans if p.needed_charge)
     to_dest = [{} for _ in charging]
-    # the charging plans stopping at each point; a plan that meets no
-    # faulted stop completes, so only the plans a mask hits are replayed
-    stopping: dict[str, list[int]] = {}
-    for k, plan in enumerate(charging):
-        for s in plan.stops:
-            stopping.setdefault(s.cp_id, []).append(k)
-    stranded = {p_f: 0 for p_f in grid}
-    for m in range(n_masks):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(m,)))
-        for p_f, mask in zip(grid, sample_fault_masks(net, grid, rng)):
-            for k in sorted({k for pid in mask for k in stopping.get(pid, ())}):
-                if replay_trip(charging[k], mask, net, ledger, cfg, to_dest[k]) == STRANDED:
-                    stranded[p_f] += 1
+    # the finishing paths found so far, per (plan, stop index)
+    paths: dict[tuple[int, int], list[tuple[str, ...]]] = {}
+    stranded = dict.fromkeys(grid, 0)
+    for lo in range(0, n_masks, MASK_BLOCK):
+        u = _mask_uniforms(len(ids), seed, range(lo, min(lo + MASK_BLOCK, n_masks)))
+        for k, plan in enumerate(charging):
+            at_stops = u[:, [column[s.cp_id] for s in plan.stops]]
+            for p_f in grid:
+                hit = at_stops < p_f
+                first = hit.argmax(axis=1)
+                for j in range(len(plan.stops)):
+                    pending = np.flatnonzero(hit[:, j] & (first == j))
+                    found = paths.setdefault((k, j), [])
+                    tested = 0
+                    while pending.size:
+                        if tested < len(found):
+                            # the masks that leave a kept path up are rerouted
+                            cols = [column[pid] for pid in found[tested]]
+                            pending = pending[(u[pending[:, None], cols] < p_f).any(axis=1)]
+                            tested += 1
+                            continue
+                        mask = _down(ids, u[pending[0]], p_f)
+                        pending = pending[1:]
+                        if replay_trip(plan, mask, net, ledger, cfg, to_dest[k], found) == STRANDED:
+                            stranded[p_f] += 1
     trips = (len(plans) + n_unroutable) * n_masks
     return [
         SweepRow(

@@ -214,19 +214,15 @@ def _haversine_km(lat, cos_lat, lon, lat_c, lon_c) -> np.ndarray:
 def load_population_csv(path) -> PopulationGrid:
     """Read a ``lat,lon,population`` CSV into a grid: UTF-8 text, that
     header, then one cell a line. Blank records are skipped, fields may be
-    quoted and lines may end in CRLF. The body, lines of spaces dropped, is
-    parsed by one np.loadtxt call and checked as arrays; longitudes are
-    wrapped as in GeoPoint. A body that fails, for example one with a line
-    of only a quoted blank field, is split into records by
-    _records_to_cells and parsed again.
+    quoted and lines may end in CRLF. The body, blank lines dropped (see
+    _body_lines), is parsed by one np.loadtxt call and checked as arrays;
+    longitudes are wrapped as in GeoPoint. A body that fails is split into
+    records by _records_to_cells and parsed again.
 
     Raises DataError with the offending line number on malformed rows.
     """
     with csv_body(path, "population grid", POPULATION_HEADER) as (fh, _):
-        # only a line of spaces is dropped: any other line may hold a row or
-        # part of one, a quoted field that runs over a line end, even when
-        # csv reads it alone as blank (a line of a closing or escaped quote)
-        lines = (line for line in fh if "," in line or line.strip())
+        lines = _body_lines(fh)
         head = next(lines, None)
         # an empty body is left to PopulationGrid's "no cells" error;
         # loadtxt would warn on it
@@ -237,6 +233,27 @@ def load_population_csv(path) -> PopulationGrid:
     out = (lon < -180.0) | (lon >= 180.0)
     lon[out] = wrap_lon(lon[out])
     return PopulationGrid(lat, lon, pop)
+
+
+def _body_lines(fh):
+    """The lines of fh that may hold a row or part of one. A line of spaces
+    is dropped, even inside a quoted field, where it is only space around
+    a number; so is a line that starts outside any quoted field and
+    that csv reads alone as one blank field, such as "". Inside a quoted
+    field that runs over a line end such a line is kept: there "" is an
+    escaped quote, and a lone quote closes the field. Quotes open and close
+    fields, and an escaped quote is two of them, so a line starts inside a
+    field when the quotes before it are odd in number."""
+    inside = False
+    for line in fh:
+        if '"' not in line:
+            if "," in line or line.strip():
+                yield line
+            continue
+        odd = line.count('"') % 2 == 1
+        if inside or odd or "," in line or not is_blank(next(csv.reader([line]))):
+            yield line
+        inside ^= odd
 
 
 def _loadtxt(rows, dtype=float) -> np.ndarray:

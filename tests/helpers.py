@@ -3,11 +3,12 @@
 The oracles recompute results by a different algorithm than the production
 code (exhaustive enumeration instead of label-setting search, lattice scan
 instead of sorted-gap walk, even-grid Simpson instead of the log-knot
-table, a haversine over every cell instead of the tile index's candidate
-rings, csv and float() row by row instead of one np.loadtxt call), so
-agreement is evidence and not tautology. Fixture builders are
-anchored at the equator where eastward kilometre offsets reproduce
-haversine distances to machine precision, which keeps hand-built
+table, mask by mask with a fresh search per replay instead of plan by plan
+with finishing paths reused, a haversine over every cell instead of the
+tile index's candidate rings, csv and float() row by row instead of one
+np.loadtxt call), so agreement is evidence and not tautology. Fixture
+builders are anchored at the equator where eastward kilometre offsets
+reproduce haversine distances to machine precision, which keeps hand-built
 geometry exact.
 """
 
@@ -25,6 +26,7 @@ import numpy as np
 import chargesim
 from chargesim.errors import DataError
 from chargesim.ev import EvParams, charge_duration_h, effective_charge_kw, soc_drop
+from chargesim.faults import STRANDED, SweepRow, replay_trip, sample_fault_masks
 from chargesim.geo import GeoPoint, distance_km, offset_km
 from chargesim.network import ChargeNetwork, ChargePoint
 from chargesim.population import RING_HALF_WIDTHS, PopulationGrid
@@ -269,6 +271,32 @@ def plan_fault_trips(net: ChargeNetwork, cfg: RouterConfig):
                 plans.append(p)
             ev += 1
     return plans, unroutable
+
+
+def mask_major_sweep(plans, n_unroutable, net, ledger, cfg, p_f_grid, n_masks, seed):
+    """run_fault_sweep's rows, mask by mask: each mask drawn alone by
+    sample_fault_masks from SeedSequence(seed, spawn_key=(m,)), and every
+    charging plan it hits replayed by replay_trip with a fresh search, no
+    path reused. This is the sweep as it ran before it went plan by plan."""
+    grid = sorted(set(p_f_grid))
+    charging = [p for p in plans if p.stops]
+    stopping: dict[str, list[int]] = {}
+    for k, plan in enumerate(charging):
+        for s in plan.stops:
+            stopping.setdefault(s.cp_id, []).append(k)
+    stranded = {p_f: 0 for p_f in grid}
+    for m in range(n_masks):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(m,)))
+        for p_f, mask in zip(grid, sample_fault_masks(net, grid, rng)):
+            for k in sorted({k for pid in mask for k in stopping.get(pid, ())}):
+                if replay_trip(charging[k], mask, net, ledger, cfg) == STRANDED:
+                    stranded[p_f] += 1
+    trips = (len(plans) + n_unroutable) * n_masks
+    flagged = sum(1 for p in plans if p.needed_charge)
+    return [
+        SweepRow(p_f, trips, flagged * n_masks, stranded[p_f], n_unroutable * n_masks)
+        for p_f in grid
+    ]
 
 
 # ---------------------------------------------------------------------------

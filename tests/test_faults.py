@@ -4,18 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from chargesim.ev import EvParams
-from chargesim.geo import distance_km
-from chargesim.network import add_colocated_redundancy
+from chargesim import faults
+from chargesim.ev import EvParams, soc_drop
+from chargesim.geo import GeoPoint, distance_km, offset_km
+from chargesim.network import ChargeNetwork, ChargePoint, add_colocated_redundancy
 from chargesim.reservations import ReservationLedger
-from chargesim.router import AWARE, RoutePlan, RouterConfig, TripRequest, plan_route
+from chargesim.router import (
+    AWARE, BLIND, RoutePlan, RouterConfig, TripRequest, Unroutable, commit_route, plan_route,
+    span_km,
+)
 from chargesim.stats import wilson_interval
 from chargesim.faults import (
     COMPLETED,
     REROUTED,
     STRANDED,
-    can_finish,
     estimate_ps_first_order,
+    finishing_path,
     replay_trip,
     SweepRow,
     run_fault_sweep,
@@ -27,6 +31,7 @@ from helpers import (
     enumerate_best,
     fault_network,
     fault_trip_rows,
+    mask_major_sweep,
     plan_fault_trips,
     random_router_instance,
 )
@@ -128,18 +133,34 @@ def test_replay_zero_extra_time_with_colocated_twin(net, planned):
     assert replan.arrival_h == pytest.approx(iso_plan.arrival_h, abs=1e-12)
 
 
+def _reaches(path, start, soc, destination, net, ev):
+    """Whether driving start -> path -> destination at floor 0 keeps every
+    leg within the charge it starts on, by the router's leg arithmetic."""
+    target = ev.charge_target_soc
+    loc = start
+    for pid in path:
+        d = distance_km(loc, net.by_id[pid].location)
+        if d > span_km(ev, soc, 0.0):
+            return False
+        soc_in = soc - soc_drop(ev, d)
+        soc, loc = (soc_in if soc_in >= target else target), net.by_id[pid].location
+    return distance_km(loc, destination) <= span_km(ev, soc, 0.0)
+
+
 def test_can_finish_matches_router_and_enumeration():
-    # the verdict must equal the router's with the replay keywords, and the
-    # exhaustive oracle's on instances of up to six points. Half the cases
-    # carry a colocated twin per point, and a tenth of the points are out of
-    # service, which puts them in the mask besides the faulted ones. Every
-    # third case sets the range so that one leg is exactly the span of a
-    # full charge (range = leg, route scale 1, charge target 1): the longer
-    # leg of origin -> p -> destination, or on every sixth case the direct
-    # leg with every point down
+    # finishing_path finds a path exactly when the router, with the replay
+    # keywords, finds a plan, and when the exhaustive oracle does on
+    # instances of up to six points; every path it returns avoids the mask
+    # and reaches the destination. Half the cases carry a colocated twin
+    # per point, and a tenth of the points are out of service, which puts
+    # them in the mask besides the faulted ones. Every third case sets the
+    # range so that one leg is exactly the span of a full charge (range =
+    # leg, route scale 1, charge target 1): the longer leg of origin -> p ->
+    # destination, or on every sixth case the direct leg with every point
+    # down
     rng = np.random.default_rng(np.random.SeedSequence(11235))
     verdicts = {True: 0, False: 0}
-    ties = 0
+    ties = stops = 0
     for i in range(360):
         big = i % 4 == 3
         req, net, led, cfg = random_router_instance(rng, max_points=12 if big else 3 if i % 2 else 6)
@@ -156,14 +177,19 @@ def test_can_finish_matches_router_and_enumeration():
             cfg = dataclasses.replace(cfg, ev=EvParams(
                 max_range_km=leg, route_scale=1.0, charge_target_soc=1.0))
             soc = 1.0
-        verdict = can_finish(req.origin, soc, req.destination, net, cfg.ev, mask, {})
+        path = finishing_path(req.origin, soc, req.destination, net, cfg.ev, mask, {})
+        verdict = path is not None
         kwargs = dict(initial_soc=soc, reserve_floor=0.0, exclude=mask, ignore_ev=req.ev_id)
         assert verdict == isinstance(plan_route(req, net, led, cfg, **kwargs), RoutePlan)
         if not big:
             assert verdict == (enumerate_best(req, net, led, cfg, **kwargs) is not None)
+        if verdict:
+            assert not mask & set(path)
+            assert _reaches(path, req.origin, soc, req.destination, net, cfg.ev)
+            stops += len(path) > 0
         verdicts[verdict] += 1
         ties += i % 3 == 0 and verdict
-    assert min(verdicts.values()) > 60 and ties > 20
+    assert min(verdicts.values()) > 60 and ties > 20 and stops > 30
 
 
 def test_replay_leaves_ledger_untouched(net, planned):
@@ -230,3 +256,88 @@ def test_sweep_row_merge_sums_counts():
     assert (m.ci_low, m.ci_high) == wilson_interval(8, 650)
     with pytest.raises(ValueError, match="p_f"):
         a.merge(SweepRow(p_f=0.2, trips=1, needed_charge=0, stranded=0, unroutable=0))
+
+
+def _random_fault_instance(rng: np.random.Generator):
+    """A committed route set on a random sparse network: 6 to 24 points in
+    a 160 x 100 km box and 20 to 50 trips inside it, so that plans make
+    zero to three stops and some trips are unroutable. Half the instances
+    give a random half of the points a colocated twin before planning, as
+    --add-redundancy does. Returns (plans, unroutable, net, ledger, cfg)."""
+    anchor = GeoPoint(float(rng.uniform(-50.0, 50.0)), float(rng.uniform(-170.0, 170.0)))
+
+    def somewhere():
+        return offset_km(anchor, float(rng.uniform(0.0, 160.0)), float(rng.uniform(0.0, 100.0)))
+
+    net = ChargeNetwork([
+        ChargePoint(f"p{i}", somewhere(), str(rng.choice(["DC", "AC"])),
+                    float(rng.choice([50.0, 22.0, 11.0])))
+        for i in range(int(rng.integers(6, 25)))
+    ])
+    if rng.random() < 0.5:
+        net = add_colocated_redundancy(net, [p.id for p in net.points if rng.random() < 0.5])
+    cfg = RouterConfig(ev=EvParams(), mode=AWARE if rng.random() < 0.7 else BLIND)
+    ledger = ReservationLedger()
+    plans, unroutable = [], 0
+    for ev in range(int(rng.integers(20, 51))):
+        req = TripRequest(ev, somewhere(), somewhere(), depart_h=float(rng.uniform(0.0, 3.0)))
+        plan = plan_route(req, net, ledger, cfg)
+        if isinstance(plan, Unroutable):
+            unroutable += 1
+        else:
+            plans.append(commit_route(plan, ledger, cfg))
+    return plans, unroutable, net, ledger, cfg
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sweep_matches_the_mask_major_oracle(seed, monkeypatch):
+    # plan by plan with finishing paths reused, the sweep writes the rows
+    # of the loop that replays every hit plan of every mask with a fresh
+    # search; p_f 0 and 1 and a duplicate are in every grid, and blocks as
+    # small as one mask make the masks cross block boundaries. Each
+    # stranding asks the router once, and the router answers unroutable
+    rng = np.random.default_rng([seed, 29])
+    plans, unroutable, net, ledger, cfg = _random_fault_instance(rng)
+    grid = [0.0, 1.0, *(float(x) for x in rng.uniform(0.02, 0.6, 3))]
+    grid.append(grid[int(rng.integers(len(grid)))])
+    n_masks = int(rng.integers(5, 40))
+    monkeypatch.setattr(faults, "MASK_BLOCK", int(rng.choice([1, 3, 7, 512])))
+    replans = []
+    real = faults.plan_route
+
+    def plan_route_counted(*args, **kwargs):
+        replans.append(real(*args, **kwargs))
+        return replans[-1]
+
+    monkeypatch.setattr(faults, "plan_route", plan_route_counted)
+    rows = run_fault_sweep(plans, unroutable, net, ledger, cfg, grid, n_masks, seed)
+    monkeypatch.setattr(faults, "plan_route", real)
+    assert rows == mask_major_sweep(plans, unroutable, net, ledger, cfg, grid, n_masks, seed)
+    assert all(isinstance(r, Unroutable) for r in replans)
+    assert len(replans) == sum(r.stranded for r in rows)
+    assert [r.p_f for r in rows] == sorted(set(grid))
+    assert rows[0].stranded == 0
+
+
+def test_sweep_crosses_the_mask_block(net, planned):
+    # at the module's own block size, a mask count past one block sweeps
+    # as the oracle does
+    plans, unroutable = planned
+    grid = [0.05, 0.3]
+    n_masks = faults.MASK_BLOCK + 7
+    rows = run_fault_sweep(plans, unroutable, net, ReservationLedger(), CFG, grid, n_masks, 5)
+    assert rows == mask_major_sweep(plans, unroutable, net, ReservationLedger(), CFG, grid,
+                                    n_masks, 5)
+    assert rows[-1].stranded > 0
+
+
+def test_sweep_masks_are_sample_fault_masks(net):
+    # the sweep's uniforms give, mask by mask, the down-sets that
+    # sample_fault_masks draws from the same generator
+    ids = sorted(net.by_id)
+    grid = [0.0, 0.1, 0.5, 1.0]
+    u = faults._mask_uniforms(len(ids), 17, range(3, 30))
+    for row, m in zip(u, range(3, 30)):
+        rng = np.random.default_rng(np.random.SeedSequence(17, spawn_key=(m,)))
+        down = [frozenset(pid for pid, x in zip(ids, row.tolist()) if x < p_f) for p_f in grid]
+        assert down == sample_fault_masks(net, grid, rng)

@@ -294,3 +294,28 @@ def test_a_quoted_population_may_close_on_a_line_of_its_own(kind, seed, tmp_path
     _inject(rows, r, kind, rng)
     text, starts = _spanning_text(rows, blanks)
     assert _line(_error(load_population_csv, _write(tmp_path, text))) == starts[r]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_quoted_blank_lines_outside_fields_keep_the_fast_path(seed, tmp_path, monkeypatch):
+    # lines of "" or "  " between rows, and between rows whose quoted field
+    # runs over a line end, are blank records: the file loads as the loop
+    # loads it, in one parse, without the record splitter
+    import chargesim.population as population
+
+    rng = np.random.default_rng([seed, 29])
+    rows = _random_rows(rng, int(rng.integers(2, 40)))
+    for row in rows:
+        if rng.random() < 0.3:
+            row[2] = '"' + row[2].strip().strip('"') + '\n"'
+    blanks = [[str(rng.choice(['""', '"  "', "   "])) for _ in range(int(rng.integers(0, 3)))]
+              for _ in rows]
+    blanks[int(rng.integers(len(rows)))].append('""')
+    path = _write(tmp_path, _spanning_text(rows, blanks)[0])
+    want = loop_load_population_csv(path)
+
+    def split(*args):
+        raise AssertionError("the fast path failed")
+
+    monkeypatch.setattr(population, "_records_to_cells", split)
+    _assert_same_arrays(load_population_csv(path), want)

@@ -14,6 +14,9 @@ on both sides, in three alternating pairs (PAIRS):
                         blind and N 1 and 2
   faults-tN             faults --n-ev 2000 --replicates 4 --masks 100
                         --seed 0 --threads N, for N 1 and 2
+  faults-probe          faults --n-ev 16758 --masks 1000 --seed 0
+                        --threads 1, aware: the probe's fleet replayed
+                        under 1,000 masks at each default p_f
 
 With --full it also runs the capacity search itself once per side:
 capacity --threshold 40 --target 1e-3 --n-ev 40000 --replicates 1 --seed 0
@@ -60,6 +63,8 @@ RUNS = {
                                "--seed", "0", "--threads", threads]
         for threads in ("1", "2")
     },
+    "faults-probe": ["faults", "--n-ev", "16758", "--masks", "1000", "--seed", "0",
+                     "--threads", "1", "--mode", "aware"],
 }
 FULL = ["capacity", "--threshold", "40", "--target", "1e-3", "--n-ev", "40000",
         "--replicates", "1", "--seed", "0", "--threads", "1", "--mode", "aware"]
