@@ -29,6 +29,13 @@ found from that stop clears, in one more array test, every mask that
 leaves its points up. A path's feasibility depends on its start, its
 charge and its points alone, so the reuse is exact, and only the masks
 that no path found so far avoids are replayed.
+
+Mask m draws its uniforms from PCG64 seeded by SeedSequence(seed,
+spawn_key=(m,)). The sweep seeds a block of masks in one pass: the
+SeedSequence hashing runs as uint32 array arithmetic over the block's mask
+ids and PCG64's seeding as integer arithmetic, and one generator, loaded
+with each mask's state, draws its row. NEP 19 keeps both numpy streams
+fixed, so the rows are exactly numpy's per-mask draws.
 """
 
 from __future__ import annotations
@@ -55,9 +62,10 @@ STRANDED = "stranded"
 MASK_BLOCK = 512
 
 
-def _down(ids: list[str], u: np.ndarray, p_f: float) -> frozenset[str]:
-    """The points down at p_f: those whose uniform is below it."""
-    return frozenset(ids[j] for j in np.flatnonzero(u < p_f))
+def _down(ids: np.ndarray, u: np.ndarray, p_f: float) -> frozenset[str]:
+    """The points down at p_f: those whose uniform is below it. `ids` holds
+    the point ids in sorted order, as an object array."""
+    return frozenset(ids[u < p_f].tolist())
 
 
 def sample_fault_masks(
@@ -66,18 +74,88 @@ def sample_fault_masks(
     """One mask per p_f from one uniform per point, drawn in id order so the
     sequence is reproducible. A point is down when its uniform is below p_f,
     so the masks nest as p_f rises (common random numbers)."""
-    ids = sorted(net.by_id)
+    ids = np.array(sorted(net.by_id), dtype=object)
     u = rng.random(len(ids))
     return [_down(ids, u, p_f) for p_f in p_fs]
+
+
+# SeedSequence's hash and mix constants (numpy's bit_generator.pyx), and
+# PCG64's 128-bit multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hash of uint32 words, with its running constant h:
+    each call xors the words with h, steps h by mult and multiplies the
+    words by the new h."""
+    def hash_words(v: np.ndarray) -> np.ndarray:
+        nonlocal h
+        x, h = h, h * mult & _M32
+        v = (v ^ np.uint32(x)) * np.uint32(h)
+        return v ^ (v >> np.uint32(16))
+    return hash_words
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return r ^ (r >> np.uint32(16))
 
 
 def _mask_uniforms(n_points: int, seed: int, masks: range) -> np.ndarray:
     """The uniforms of the masks in `masks`, a row each in that order: mask
     m's row is what sample_fault_masks draws from SeedSequence(seed,
-    spawn_key=(m,)), one uniform per point in id order."""
+    spawn_key=(m,)), one uniform per point in id order.
+
+    The masks are seeded together, as numpy seeds each alone. SeedSequence
+    hashes the seed's uint32 words, zero-padded to its pool of four, into
+    the pool and mixes the pool, and mixes in any seed word past the
+    fourth; that part is the same for every mask, so it runs once. Each
+    word of the spawn key (one for m below 2**32, two from there) is then
+    mixed into the pool, and generate_state(4, uint64) hashes the pool
+    into eight words, all in uint32 arithmetic over the block's masks.
+    PCG64 seeds its 128-bit (state, inc) from those words by two LCG
+    steps, done in Python ints, and one generator, loaded with each
+    mask's (state, inc), draws the mask's row. NEP 19 fixes the streams of
+    SeedSequence and PCG64 across numpy versions, so every row is exactly
+    the per-mask draw; a test compares them bit for bit.
+    """
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     u = np.empty((len(masks), n_points))
-    for row, m in zip(u, masks):
-        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(m,))).random(out=row)
+    hash_words = _hasher(_INIT_A, _MULT_A)
+    entropy = [np.array([(seed >> k) & _M32], dtype=np.uint32)
+               for k in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [np.zeros(1, dtype=np.uint32)] * (4 - len(entropy))
+    pool = [hash_words(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hash_words(pool[src]))
+    for w in entropy[4:]:
+        pool = [_mix(p, hash_words(w)) for p in pool]
+    m = np.arange(masks.start, masks.stop, masks.step, dtype=np.uint64)
+    low = (m & np.uint64(_M32)).astype(np.uint32)
+    pool = [_mix(p, hash_words(low)) for p in pool]
+    two = np.flatnonzero(m >> np.uint64(32))
+    high = (m[two] >> np.uint64(32)).astype(np.uint32)
+    for p in pool:
+        p[two] = _mix(p[two], hash_words(high))
+    hash_words = _hasher(_INIT_B, _MULT_B)
+    w = [hash_words(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    words = [(w[i] | w[i + 1] << np.uint64(32)).tolist() for i in range(0, 8, 2)]
+    bits = np.random.PCG64(0)
+    draw = np.random.Generator(bits).random
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for row, s_high, s_low, i_high, i_low in zip(u, *words):
+        inc = (i_high << 65 | i_low << 1 | 1) & _M128
+        s = ((s_high << 64 | s_low) + inc) * _PCG_MULT + inc
+        state["state"] = {"state": s & _M128, "inc": inc}
+        bits.state = state
+        draw(out=row)
     return u
 
 
@@ -179,7 +257,7 @@ def replay_trip(
     # reservations even when the original plan was made blind
     req = TripRequest(plan.ev_id, here, plan.destination, depart_h=faulty.arrival_h)
     replan = plan_route(
-        req, net, ledger, dc_replace(cfg, mode=AWARE),
+        req, net, ledger, cfg if cfg.mode == AWARE else dc_replace(cfg, mode=AWARE),
         initial_soc=faulty.soc_in,
         reserve_floor=0.0,
         exclude=mask,
@@ -253,8 +331,8 @@ def run_fault_sweep(
     between trips sharing a mask, so read it as a scale, not a guarantee.
     """
     grid = sorted(set(p_f_grid))
-    ids = sorted(net.by_id)
-    column = {pid: j for j, pid in enumerate(ids)}
+    ids = np.array(sorted(net.by_id), dtype=object)
+    column = {pid: j for j, pid in enumerate(ids.tolist())}
     charging = [p for p in plans if p.stops]
     n_charging_flagged = sum(1 for p in plans if p.needed_charge)
     to_dest = [{} for _ in charging]

@@ -341,3 +341,19 @@ def test_sweep_masks_are_sample_fault_masks(net):
         rng = np.random.default_rng(np.random.SeedSequence(17, spawn_key=(m,)))
         down = [frozenset(pid for pid, x in zip(ids, row.tolist()) if x < p_f) for p_f in grid]
         assert down == sample_fault_masks(net, grid, rng)
+
+
+def test_mask_uniforms_match_numpy_streams():
+    # the masks seeded together draw numpy's per-mask streams bit for bit:
+    # seeds of one to five uint32 words, mask ranges from 0, across a block
+    # and across 2**32, where the spawn key takes a second word, and rows of
+    # every width the sweep meets
+    block = faults.MASK_BLOCK
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**130 + 3):
+        for masks in (range(0, 6), range(block - 3, block + 3), range(2**32 - 3, 2**32 + 3)):
+            for n in (0, 1, 30, 708):
+                want = np.empty((len(masks), n))
+                for row, m in zip(want, masks):
+                    ss = np.random.SeedSequence(seed, spawn_key=(m,))
+                    row[:] = np.random.default_rng(ss).random(n)
+                assert np.array_equal(faults._mask_uniforms(n, seed, masks), want), (seed, masks, n)
